@@ -469,12 +469,16 @@ def cmd_simulate(args) -> int:
     if not scenario.finite:
         raise ScenarioError("'simulate' needs a finite environment block")
     sim = scenario.simulation
-    replications = args.replications or int(sim.get("replications", 10_000))
+    replications = (args.replications if args.replications is not None
+                    else int(sim.get("replications", 10_000)))
     seed = args.seed if args.seed is not None else int(sim.get("seed", 0))
     order = args.receiver_order or str(sim.get("receiver_order", "lowest"))
-    round_cap = args.round_cap or int(sim.get("round_cap", 10 ** 6))
+    round_cap = (args.round_cap if args.round_cap is not None
+                 else int(sim.get("round_cap", 10 ** 6)))
     if replications < 1:
         raise ScenarioError("replications must be at least 1")
+    if round_cap < 1:
+        raise ScenarioError("round cap must be at least 1")
 
     out = _out_dir(args)
     start = time.perf_counter()

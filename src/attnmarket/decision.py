@@ -17,9 +17,8 @@ from .environment import (
     Belief,
     Experiment,
     JointPrior,
+    _check_experiment,
     condition_on_components,
-    message_distribution,
-    update,
 )
 from .errors import UnknownComponent
 
@@ -81,16 +80,20 @@ def _check_table(dp: DecisionProblem, mass: np.ndarray):
     np.broadcast_shapes(dp.utility.shape[1:], mass.shape)
 
 
-def _expected_utilities(dp: DecisionProblem, mass: np.ndarray) -> np.ndarray:
-    """E[u(a, omega)] per action under an (unnormalized) mass array."""
+def _expected_utilities(dp: DecisionProblem, mass: np.ndarray,
+                        per_sender_values: bool = False) -> np.ndarray:
+    """E[u(a, omega)] per action under an (unnormalized) mass array, or per
+    action and sender-value combination.  No actions x joint array is
+    built: the payoff axis is contracted against the utility table, and
+    sender axes on which the utility varies are batch axes."""
     _check_table(dp, mass)
+    n = mass.ndim - 1
     u = dp.utility
-    collapse = tuple(k for k in range(mass.ndim)
-                     if u.shape[1 + k] == 1 and mass.shape[k] > 1)
-    if collapse:
-        mass = mass.sum(axis=collapse, keepdims=True)
-    axes = tuple(range(1, mass.ndim + 1))
-    return (u * mass[None, ...]).sum(axis=axes)
+    kept = [k for k in range(n + 1) if u.shape[1 + k] > 1]
+    u = u.reshape((u.shape[0],) + tuple(u.shape[1 + k] for k in kept))
+    out = [n + 1] + (list(range(1, n + 1)) if per_sender_values else [])
+    return np.einsum(u, [n + 1] + kept, mass, list(range(n + 1)), out,
+                     optimize=True)
 
 
 def _stopping_value(dp: DecisionProblem, mass: np.ndarray) -> float:
@@ -118,22 +121,111 @@ def full_info_utility(dp: DecisionProblem, belief: Belief) -> float:
 
 def experiment_value(dp: DecisionProblem, belief: Belief,
                      experiment: Experiment) -> float:
-    """Expected stopping-utility gain from observing one experiment."""
-    dist = message_distribution(belief, experiment)
+    """Expected stopping-utility gain from observing one experiment.  Each
+    message is scored on its unnormalized joint mass, which never has to be
+    renormalized however small its probability."""
+    _check_experiment(belief, experiment)
+    shape = [1] * belief.mass.ndim
+    shape[experiment.sender] = -1
     total = 0.0
-    for m, prob in zip(experiment.messages, dist):
-        if prob <= 0.0:
-            continue
-        post = update(belief, experiment, m)
-        total += prob * _stopping_value(dp, post.mass)
+    for lik in experiment.kernel.T:
+        joint = belief.mass * lik.reshape(shape)
+        if joint.any():
+            total += _stopping_value(dp, joint)
     return total - _stopping_value(dp, belief.mass)
+
+
+def _star(a: np.ndarray, axes) -> np.ndarray:
+    """Append to each given axis one slot holding the sum over that axis."""
+    for ax in axes:
+        a = np.concatenate([a, a.sum(axis=ax, keepdims=True)], axis=ax)
+    return a
+
+
+class _Lattice:
+    """Every exact-revelation node of one mass array at once.
+
+    Arrays over nodes have shape prod(k_i + 1): sender ``i`` owns axis
+    ``i - 1`` (axis ``i`` of ``eu``), whose slots ``0..k_i-1`` are her
+    values and whose last slot, ``-1``, means "not yet revealed".  Entries
+    are weighted by the node's mass, so completions add up by plain sums
+    (the zeta transform over the subset lattice): ``mass`` is P, ``eu``
+    the expected utility per action times P, ``value`` W = max_a eu.
+    """
+
+    def __init__(self, dp: DecisionProblem, mass: np.ndarray):
+        n = self.n = mass.ndim - 1
+        eu = _expected_utilities(dp, mass, per_sender_values=True)
+        self.eu = _star(eu, range(1, n + 1))
+        self.mass = _star(mass.sum(axis=0), range(n))
+        self.value = self.eu.max(axis=0)
+        # W summed per revealed set: one [unrevealed, revealed] axis per sender
+        c = self.value
+        for _ in range(n):
+            c = np.stack([c[..., -1], c[..., :-1].sum(axis=-1)])
+        self._coalitions = c
+        self._gains = {}
+        self._residuals = {}
+
+    def nodes(self) -> np.ndarray:
+        """Indices of the positive-mass nodes, one row each, by number of
+        revealed senders, then revealed set, then values (row-major)."""
+        rows = []
+        for r in range(self.n + 1):
+            for S in itertools.combinations(range(self.n), r):
+                layer = tuple(slice(-1) if ax in S else -1
+                              for ax in range(self.n))
+                found = np.argwhere(self.mass[layer] > 0.0)
+                block = np.full((len(found), self.n), -1)
+                block[:, list(S)] = found
+                rows.append(block)
+        return np.concatenate(rows)
+
+    def coalition(self, subset) -> float:
+        """E_{w_S}[ U(mu'(w_S)) ]: W summed over the nodes that reveal
+        exactly the senders in the subset."""
+        subset = set(subset)
+        if not subset <= set(range(1, self.n + 1)):
+            raise UnknownComponent(f"sender index out of range in {subset}")
+        return float(self._coalitions[tuple(int(i in subset)
+                                            for i in range(1, self.n + 1))])
+
+    def gain(self, sender: int) -> np.ndarray:
+        """G_i where the sender is unrevealed (her axis kept with size 1):
+        the sum over her values of max_a EU - EU of the node's best action.
+        Every term is >= 0, so G_i is exactly 0 where no value of hers
+        changes the action."""
+        if sender not in self._gains:
+            if not 1 <= sender <= self.n:
+                raise UnknownComponent(f"sender index {sender} out of range")
+            eu = np.moveaxis(self.eu, sender, -1)
+            best = eu[..., -1:].argmax(axis=0)
+            stay = np.take_along_axis(eu[..., :-1], best[None], axis=0)[0]
+            value = np.moveaxis(self.value, sender - 1, -1)[..., :-1]
+            self._gains[sender] = np.moveaxis(
+                (value - stay).sum(axis=-1, keepdims=True), -1, sender - 1)
+        return self._gains[sender]
+
+    def residual(self, sender: int) -> np.ndarray:
+        """H_i, shaped like G_i: G_i summed over all completions of the other
+        unrevealed senders, the expected residual value times P."""
+        if sender not in self._residuals:
+            g = self.gain(sender).squeeze(axis=sender - 1)
+            h = _star(g[(slice(-1),) * g.ndim], range(g.ndim))
+            self._residuals[sender] = np.expand_dims(h, sender - 1)
+        return self._residuals[sender]
+
+
+def _revealed_values(prior: JointPrior, cell) -> dict:
+    """Value labels of the senders that a lattice node reveals."""
+    return {j: prior.spaces[j].values[v] for j, v in enumerate(cell, 1)
+            if v >= 0}
 
 
 def full_reveal_value(dp: DecisionProblem, belief: Belief, sender: int) -> float:
     """Value of learning one sender's component exactly at this belief."""
-    belief._check_component(sender)
-    return (expected_conditioned_value(dp, belief, (sender,))
-            - _stopping_value(dp, belief.mass))
+    root = (-1,) * belief.n_senders
+    return float(_Lattice(dp, belief.mass).gain(sender)[root])
 
 
 def full_reveal_value_given(dp: DecisionProblem, prior: JointPrior,
@@ -152,62 +244,18 @@ def expected_conditioned_value(dp: DecisionProblem, source, subset) -> float:
 
     The empty subset gives the current stopping utility.
     """
-    mass = source.mass
-    _check_table(dp, mass)
-    subset = tuple(sorted(set(subset)))
-    n = mass.ndim
-    for k in subset:
-        if not (1 <= k < n):
-            raise UnknownComponent(f"sender index {k} out of range")
-    if not subset:
-        return _stopping_value(dp, mass)
-
-    u = dp.utility
-    if all(u.shape[1 + k] == 1 for k in subset):
-        # utility constant in the conditioned components: score every
-        # realization with one matrix product
-        rest = tuple(k for k in range(n) if k not in subset)
-        m = mass.transpose(subset + rest).reshape(
-            int(np.prod([mass.shape[k] for k in subset])), -1)
-        u_mat = np.broadcast_to(u, (u.shape[0],) + tuple(
-            1 if k in subset else mass.shape[k] for k in range(n)
-        )).reshape(u.shape[0], -1)
-        eu = m @ u_mat.T                       # realizations x actions
-        weights = m.sum(axis=1)
-        return float(np.where(weights > 0, eu.max(axis=1), 0.0).sum())
-
-    # general table: loop over subset realizations
-    total = 0.0
-    index = [slice(None)] * n
-    for combo in itertools.product(*[range(mass.shape[k]) for k in subset]):
-        for k, v in zip(subset, combo):
-            index[k] = v
-        sub = mass[tuple(index)]
-        if sub.sum() <= 0.0:
-            continue
-        u_index = [slice(None)] * (n + 1)
-        for k, v in zip(subset, combo):
-            u_index[1 + k] = v if u.shape[1 + k] > 1 else 0
-        u_sub = u[tuple(u_index)]
-        eu = (u_sub * sub[None, ...]).sum(axis=tuple(range(1, sub.ndim + 1)))
-        total += float(eu.max())
-    return total
+    return _Lattice(dp, source.mass).coalition(subset)
 
 
 def coalition_value(dp: DecisionProblem, prior: JointPrior, subset) -> float:
     """Ex-ante expected increase in stopping utility from learning exactly
     the components in the subset; zero for the empty set."""
-    base = _stopping_value(dp, prior.mass)
-    return expected_conditioned_value(dp, prior, subset) - base
+    lattice = _Lattice(dp, prior.mass)
+    return lattice.coalition(subset) - lattice.coalition(())
 
 
 def expected_residual_value(dp: DecisionProblem, source, sender: int) -> float:
     """E over the other senders' components of the residual value of this
     sender's component:  E_{w_{-i}}[ vbar(w_i | w_{-i}) ]."""
-    n = source.mass.ndim
-    if not (1 <= sender < n):
-        raise UnknownComponent(f"sender index {sender} out of range")
-    everyone = tuple(range(1, n))
-    others = tuple(k for k in everyone if k != sender)
-    return (expected_conditioned_value(dp, source, everyone)
-            - expected_conditioned_value(dp, source, others))
+    root = (-1,) * (source.mass.ndim - 1)
+    return float(_Lattice(dp, source.mass).residual(sender)[root])

@@ -17,11 +17,9 @@ import numpy as np
 from .conditions import check_assumption2, check_substitutes
 from .decision import (
     DecisionProblem,
-    coalition_value,
-    expected_conditioned_value,
-    expected_residual_value,
+    _Lattice,
+    _revealed_values,
     full_reveal_value,
-    _stopping_value,
 )
 from .environment import Belief, JointPrior, condition_on_components, merge_senders
 from .errors import AssumptionViolated, ConditionNotVerified, UnknownComponent
@@ -46,34 +44,22 @@ class StateNode:
 
 
 class StateGraph:
-    """Reachable exact-revelation states of an environment, with lazy
-    beliefs, stopping values, and revelation transitions."""
+    """Reachable exact-revelation states of an environment; stopping values
+    and revelation transitions are read off the prior's lattice."""
 
     def __init__(self, prior: JointPrior, dp: DecisionProblem):
         self.prior = prior
         self.dp = dp
         self.nodes: list[StateNode] = []
+        self._lattice = _Lattice(dp, prior.mass)
         self._index: dict = {}
-        self._beliefs: dict = {}
-        self._values: dict = {}
-        self._transitions: dict = {}
-        senders = list(range(1, prior.n_senders + 1))
-        for r in range(len(senders) + 1):
-            for S in itertools.combinations(senders, r):
-                if S:
-                    axes = tuple(k for k in range(prior.mass.ndim) if k not in S)
-                    marg = prior.mass.sum(axis=axes)
-                else:
-                    marg = None
-                for combo in itertools.product(*[range(prior.spaces[j].size)
-                                                 for j in S]):
-                    if S and marg[combo] <= 0.0:
-                        continue
-                    values = tuple(prior.spaces[j].values[v]
-                                   for j, v in zip(S, combo))
-                    node = StateNode(len(self.nodes), S, values)
-                    self._index[(S, values)] = node.id
-                    self.nodes.append(node)
+        self._cells = [tuple(map(int, cell)) for cell in self._lattice.nodes()]
+        self._ids = {cell: k for k, cell in enumerate(self._cells)}
+        for cell in self._cells:
+            assignment = _revealed_values(prior, cell)
+            key = (tuple(assignment), tuple(assignment.values()))
+            self._index[key] = len(self.nodes)
+            self.nodes.append(StateNode(len(self.nodes), *key))
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -94,43 +80,31 @@ class StateGraph:
                      if i not in node.revealed)
 
     def belief(self, node_id: int) -> Belief:
-        if node_id not in self._beliefs:
-            node = self.nodes[node_id]
-            if node.revealed:
-                self._beliefs[node_id] = condition_on_components(
-                    self.prior, node.assignment)
-            else:
-                self._beliefs[node_id] = self.prior.belief()
-        return self._beliefs[node_id]
+        node = self.nodes[node_id]
+        if node.revealed:
+            return condition_on_components(self.prior, node.assignment)
+        return self.prior.belief()
 
     def stopping_value(self, node_id: int) -> float:
-        if node_id not in self._values:
-            self._values[node_id] = _stopping_value(
-                self.dp, self.belief(node_id).mass)
-        return self._values[node_id]
+        cell = self._cells[node_id]
+        return float(self._lattice.value[cell] / self._lattice.mass[cell])
 
     def transitions(self, node_id: int, sender: int):
         """Positive-probability revelations of one sender's component:
         list of (value label, probability, child node id)."""
-        key = (node_id, sender)
-        if key not in self._transitions:
-            node = self.nodes[node_id]
-            if sender in node.revealed:
-                raise UnknownComponent(
-                    f"sender {sender} already revealed at state {node_id}")
-            marg = self.belief(node_id).marginal(sender)
-            new_revealed = tuple(sorted(node.revealed + (sender,)))
-            out = []
-            for v, p in enumerate(marg):
-                if p <= 0.0:
-                    continue
-                value = self.prior.spaces[sender].values[v]
-                assignment = dict(node.assignment)
-                assignment[sender] = value
-                values = tuple(assignment[i] for i in new_revealed)
-                out.append((value, float(p), self._index[(new_revealed, values)]))
-            self._transitions[key] = out
-        return self._transitions[key]
+        if sender not in self.unrevealed(node_id):
+            raise UnknownComponent(
+                f"sender {sender} already revealed at state {node_id}")
+        mass = self._lattice.mass
+        cell = list(self._cells[node_id])
+        total = mass[tuple(cell)]
+        out = []
+        for v, value in enumerate(self.prior.spaces[sender].values):
+            cell[sender - 1] = v
+            if mass[tuple(cell)] > 0.0:
+                out.append((value, float(mass[tuple(cell)] / total),
+                            self._ids[tuple(cell)]))
+        return out
 
 
 @dataclass
@@ -212,23 +186,19 @@ def aon_rates(dp: DecisionProblem, prior: JointPrior, cost: float, *,
         equilibrium=ass2.holds and subs.holds,
         reports=reports,
     )
-    for node in graph.nodes:
-        remaining = graph.unrevealed(node.id)
-        if not remaining:
-            continue
-        belief = graph.belief(node.id)
-        for i in remaining:
-            residual = expected_residual_value(dp, belief, i)
-            profile.rates[(node.id, i)] = (
-                cost / residual if residual > 0.0 else float("inf"))
-
-    root_belief = prior.belief()
+    lattice = graph._lattice
     everyone = tuple(range(1, prior.n_senders + 1))
-    for i in everyone:
-        profile.sender_payoffs[i] = (
-            expected_residual_value(dp, root_belief, i) / cost)
+    for node, cell in zip(graph.nodes, graph._cells):
+        for i in graph.unrevealed(node.id):
+            # cost / residual value, with H_i = residual value * P
+            residual = lattice.residual(i)[cell]
+            profile.rates[(node.id, i)] = (
+                float(cost * lattice.mass[cell] / residual)
+                if residual > 0.0 else float("inf"))
+    profile.sender_payoffs = {i: float(lattice.residual(i)[graph._cells[0]])
+                              / cost for i in everyone}
     profile.receiver_payoff = (
-        expected_conditioned_value(dp, prior, everyone)
+        lattice.coalition(everyone)
         - cost * sum(profile.sender_payoffs.values()))
     return profile
 
@@ -236,13 +206,10 @@ def aon_rates(dp: DecisionProblem, prior: JointPrior, cost: float, *,
 def marginal_prices(dp: DecisionProblem, prior: JointPrior) -> dict:
     """Marginal-contribution price of each sender in the one-shot exchange:
     f(N) - f(N minus i)."""
-    everyone = tuple(range(1, prior.n_senders + 1))
-    f_all = coalition_value(dp, prior, everyone)
-    return {
-        i: f_all - coalition_value(dp, prior,
-                                   tuple(j for j in everyone if j != i))
-        for i in everyone
-    }
+    lattice = _Lattice(dp, prior.mass)
+    everyone = set(range(1, prior.n_senders + 1))
+    return {i: lattice.coalition(everyone) - lattice.coalition(everyone - {i})
+            for i in sorted(everyone)}
 
 
 def merge_environment(prior: JointPrior, dp: DecisionProblem,

@@ -104,8 +104,9 @@ class IIDEnvironment:
 def default_environment(accuracy: float = 0.6,
                         abstain_utility: float | None = 0.55) -> IIDEnvironment:
     """Binary uniform state, symmetric binary signals, match-the-state
-    payoff.  The default abstain action keeps every residual value
-    strictly positive at equal accuracies."""
+    payoff, with an abstain action by default.  A residual value is
+    exactly 0 wherever one more signal cannot change the action, and the
+    AoN rate there is ``inf``."""
     actions = ["guess_0", "guess_1"]
     utility = [[1.0, 0.0], [0.0, 1.0]]
     if abstain_utility is not None:

@@ -71,8 +71,10 @@ def conditionally_iid_signals(accuracy: float = 0.8, n: int = 2,
                               p_state1: float = 0.5,
                               abstain_utility: float | None = 0.55):
     """Binary payoff state with n conditionally iid symmetric binary
-    signals.  An abstain action (default utility 0.55) keeps every
-    residual value strictly positive at symmetric accuracies."""
+    signals, with an abstain action (default utility 0.55).  A residual
+    value is exactly 0 wherever one more signal cannot change the action
+    (with the defaults, from n = 3 on), and the AoN rate there is
+    ``inf``."""
     if not 0.5 < accuracy < 1.0:
         raise ValueError("accuracy must lie in (0.5, 1)")
     spaces = [ComponentSpace(0, ("s0", "s1"))]

@@ -235,6 +235,15 @@ def test_simulate_bad_order(scenario_dir, tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("flag", ["--replications", "--round-cap"])
+def test_simulate_rejects_zero_counts(scenario_dir, tmp_path, flag):
+    code = run(["simulate", "--scenario",
+                str(scenario_dir / "pair_guess.yaml"),
+                flag, "0", "--out", str(tmp_path)])
+    assert code == 1
+    assert not (tmp_path / "episodes.csv").exists()
+
+
 def test_simulate_gated(scenario_dir, tmp_path):
     code = run(["simulate", "--scenario",
                 str(scenario_dir / "coin_match.yaml"),

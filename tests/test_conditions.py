@@ -6,7 +6,7 @@ from attnmarket.conditions import (
     check_substitutes,
 )
 from attnmarket.decision import coalition_value
-from attnmarket.errors import SubsetSpaceTooLarge
+from attnmarket.errors import AttnMarketError, SubsetSpaceTooLarge
 
 
 # -- residual values worth one visit ---------------------------------------------
@@ -60,6 +60,15 @@ def test_substitutes_pair_guess_margin_zero(pair_guess):
     report = check_substitutes(dp, prior, samples=25, seed=4)
     assert report.holds
     assert report.margin == pytest.approx(0.0, abs=1e-12)
+
+
+def test_substitutes_refuses_uncertified_garbled_belief(pair_guess,
+                                                      monkeypatch):
+    import attnmarket.conditions as conditions
+    prior, dp = pair_guess
+    monkeypatch.setattr(conditions, "no_direct_info", lambda *args: False)
+    with pytest.raises(AttnMarketError):
+        check_substitutes(dp, prior, samples=1, seed=0)
 
 
 def test_substitutes_single_sender_vacuous(hypothesis_testing):

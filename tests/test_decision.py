@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -273,8 +273,19 @@ def random_problem(draw):
     return prior, dp, sender, lam
 
 
+def _underflow_problem():
+    """A reveal probability so small that every cell of the posterior's
+    joint mass underflows while the message weight stays positive."""
+    spaces = tuple(ComponentSpace(k, ("v0", "v1")) for k in range(2))
+    prior = JointPrior(spaces, np.array([[0.2, 0.2], [0.2, 0.4]]))
+    dp = DecisionProblem(("a0", "a1"), np.array([[[1.0, 0.0], [0.0, 1.0]],
+                                                 [[0.0, 1.0], [1.0, 0.0]]]))
+    return prior, dp, 1, 5e-324
+
+
 @settings(max_examples=60, deadline=None)
 @given(random_problem())
+@example(_underflow_problem())
 def test_experiment_value_nonnegative_and_bounded(problem):
     prior, dp, sender, lam = problem
     belief = prior.belief()

@@ -1,6 +1,10 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from attnmarket import presets
 from attnmarket.decision import (
     coalition_value,
     expected_conditioned_value,
@@ -95,6 +99,36 @@ def test_assumption_violation_blocks_construction(pair_guess):
         aon_rates(dp, prior, 0.5)
     profile = aon_rates(dp, prior, 0.5, force=True)
     assert not profile.equilibrium
+
+
+def test_rates_infinite_exactly_where_residual_is_zero():
+    """Conditionally iid signals: a residual value that is 0 in exact
+    arithmetic gives rate inf, and every other pair a finite rate."""
+    n, q, abstain = 7, Fraction(4, 5), Fraction(55, 100)
+    prior, dp = presets.conditionally_iid_signals(0.8, n)
+    profile = aon_rates(dp, prior, 0.01, force=True)
+
+    def value(ones, zeros):
+        # mass-weighted stopping value of one signal sequence
+        like1 = q ** ones * (1 - q) ** zeros / 2
+        like0 = (1 - q) ** ones * q ** zeros / 2
+        return max(like0, like1, abstain * (like0 + like1))
+
+    def residual_is_zero(ones, zeros):
+        # one sender unrevealed, r others to complete before her
+        r = n - ones - zeros - 1
+        return all(value(ones + c + 1, zeros + r - c)
+                   + value(ones + c, zeros + r - c + 1)
+                   == value(ones + c, zeros + r - c)
+                   for c in range(r + 1))
+
+    zeros_seen = 0
+    for (node_id, sender), rate in profile.rates.items():
+        values = profile.graph.nodes[node_id].values
+        zero = residual_is_zero(values.count("1"), values.count("0"))
+        zeros_seen += zero
+        assert math.isinf(rate) == zero, (node_id, sender, rate)
+    assert len(profile.rates) == 5103 and zeros_seen == 1022
 
 
 # -- marginal-contribution prices -----------------------------------------------------
