@@ -30,6 +30,7 @@ from .errors import (
     ConditionNotVerified,
     RoundLimitExceeded,
     ScenarioError,
+    SubsetSpaceTooLarge,
 )
 from .gaussian import (
     CorrelatedScenario,
@@ -561,11 +562,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    kind = args.sweep_kind
+    if kind == "large-n" and args.n_max < 1:
+        raise ScenarioError(f"--n-max must be at least 1, got {args.n_max}")
     out = _out_dir(args)
     start = time.perf_counter()
     files = []
     summary = {}
-    kind = args.sweep_kind
     if kind == "large-n" and args.finite:
         env = default_environment(accuracy=args.accuracy,
                                   abstain_utility=args.abstain)
@@ -743,7 +746,7 @@ def main(argv=None) -> int:
     except (ConditionNotVerified, AssumptionViolated) as exc:
         print(f"condition failure: {exc}", file=sys.stderr)
         code = EXIT_CONDITION
-    except (RoundLimitExceeded, BudgetExceeded) as exc:
+    except (RoundLimitExceeded, BudgetExceeded, SubsetSpaceTooLarge) as exc:
         print(f"runtime limit: {exc}", file=sys.stderr)
         code = EXIT_RUNTIME
     except AttnMarketError as exc:

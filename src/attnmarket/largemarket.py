@@ -1,14 +1,15 @@
 """Large-market experiments with conditionally iid signals.
 
 With exchangeable signals, expectations over competitors' realizations
-depend only on signal counts, so curves are computed exactly by
-enumerating count vectors with multinomial weights; environments whose
-count space exceeds the budget fall back to stratified sampling with a
-reported standard error.
+depend only on signal counts, so curves are exact sums over count vectors,
+taken in numpy blocks with masses formed in log space, of terms that are
+each >= 0.  Environments whose count space exceeds the budget fall back
+to stratified sampling through the same kernel, with a standard error.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -122,61 +123,73 @@ def default_environment(accuracy: float = 0.6,
     )
 
 
-# -- exact enumeration over signal counts --------------------------------------
+# -- the count-vector kernel --------------------------------------------------
 
-
-def _count_vectors(total: int, bins: int):
-    """All nonnegative integer vectors of the given length summing to
-    ``total`` (stars and bars)."""
-    if bins == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _count_vectors(total - first, bins - 1):
-            yield (first,) + rest
+_BLOCK_ROWS = 1 << 15      # count vectors per kernel call: bounds peak memory
 
 
 def count_space_size(total: int, bins: int) -> int:
     return math.comb(total + bins - 1, bins - 1)
 
 
-class _Calculator:
-    def __init__(self, env: IIDEnvironment):
-        self.env = env
-        self.log_lik = np.log(env.likelihood)
-        self.log_w = np.log(env.state_weights)
+def _count_blocks(total: int, bins: int):
+    """All vectors of ``bins`` >= 2 nonnegative integers summing to ``total``,
+    in lexicographic order, in arrays of at most ``_BLOCK_ROWS`` rows."""
+    first = 0
+    while first <= total:
+        if count_space_size(total - first, bins - 1) > _BLOCK_ROWS:
+            for rest in _count_blocks(total - first, bins - 1):
+                yield np.column_stack([np.full(len(rest), first), rest])
+            first += 1
+            continue
+        # the leading entries first..stop-1 cover size - size_at(stop) vectors
+        size = count_space_size(total - first, bins)
+        stop = first + bisect.bisect_right(
+            range(first + 1, total + 2), _BLOCK_ROWS,
+            key=lambda s: size - count_space_size(total - s, bins))
+        rows = np.arange(first, stop)[:, None]
+        rest = total - rows[:, 0]
+        for _ in range(bins - 2):      # append every value of the next entry
+            reps = rest + 1
+            entry = (np.arange(reps.sum())
+                     - np.repeat(np.cumsum(reps) - reps, reps))
+            rows = np.column_stack([np.repeat(rows, reps, axis=0), entry])
+            rest = np.repeat(rest, reps) - entry
+        yield np.column_stack([rows, rest])
+        first = stop
 
-    def log_state_scores(self, counts) -> np.ndarray:
-        c = np.asarray(counts, dtype=float)
-        return self.log_w + self.log_lik @ c
 
-    def posterior(self, counts) -> np.ndarray:
-        s = self.log_state_scores(counts)
-        s = np.exp(s - s.max())
-        return s / s.sum()
+def _log_scores(env: IIDEnvironment, counts: np.ndarray) -> np.ndarray:
+    """log w_s + sum_l c_l log lik[s, l] for each count row c: rows x states,
+    summed elementwise: the fused multiply-adds of a matrix product would
+    round the two states of a symmetric tie apart."""
+    terms = counts[..., None] * np.log(env.likelihood).T
+    return np.log(env.state_weights) + terms.sum(axis=-2)
 
-    def count_probability(self, counts) -> float:
-        """Marginal probability of a count vector of iid signals."""
-        total = int(sum(counts))
-        log_coef = math.lgamma(total + 1) - sum(
-            math.lgamma(c + 1) for c in counts)
-        s = self.log_state_scores(counts)
-        return float(np.exp(s + log_coef).sum())
 
-    def stopping_value(self, posterior: np.ndarray) -> float:
-        return float((self.env.utility @ posterior).max())
+def _residual_rows(env: IIDEnvironment, counts, log_coef) -> np.ndarray:
+    """For each count row c, sum over next signals l of max_a EU_l[a] -
+    EU_l[a0]: EU_l is each action's utility times the mass of c then l, read
+    off the log-score of c + e_l itself, and a0 the best action at c.  Each
+    term is >= 0, and exactly 0 where signal l leaves a0 optimal."""
+    mass = np.exp(log_coef + _log_scores(env, counts))
+    a0 = (mass @ env.utility.T).argmax(axis=1, keepdims=True)
+    value = np.zeros(len(counts))
+    for ell in range(env.n_signals):
+        bumped = counts.copy()
+        bumped[:, ell] += 1
+        eu = np.exp(log_coef + _log_scores(env, bumped)) @ env.utility.T
+        value += eu.max(axis=1) - np.take_along_axis(eu, a0, 1)[:, 0]
+    return value
 
-    def one_more_signal_value(self, counts) -> float:
-        """Value of one extra signal after observing the given counts."""
-        post = self.posterior(counts)
-        base = self.stopping_value(post)
-        p_next = post @ self.env.likelihood
-        counts = tuple(counts)
-        total = 0.0
-        for ell, p in enumerate(p_next):
-            bumped = counts[:ell] + (counts[ell] + 1,) + counts[ell + 1:]
-            total += p * self.stopping_value(self.posterior(bumped))
-        return total - base
+
+def _error_rows(env: IIDEnvironment, counts, log_coef) -> np.ndarray:
+    """For each count row c, sum_s J[c, s] (u*_s - u[a_c, s]): J is the
+    mass, a_c the best action at c and u*_s state s's best utility."""
+    mass = np.exp(log_coef + _log_scores(env, counts))
+    best = (mass @ env.utility.T).argmax(axis=1)
+    regret = env.utility.max(axis=0) - env.utility
+    return np.einsum("ks,ks->k", mass, regret[best])
 
 
 @dataclass
@@ -186,6 +199,52 @@ class CurvePoint:
     scaled: float          # n * value for residual curves, else value
     mode: str              # "exact" | "sampled"
     stderr: float | None = None
+
+
+def _curve(env: IIDEnvironment, n_values, lag: int, rows, scaled: bool,
+           exact_budget, allow_sampling, samples, seed) -> list:
+    """For each n, the expectation of ``rows`` over count vectors of n - lag
+    signals: exact, with multinomial log-weights, within the budget."""
+    bins = env.n_signals
+    points = []
+    for n in map(int, n_values):
+        total = n - lag
+        if total < 0:
+            raise ValueError(f"n must be at least {lag}")
+        se = None
+        if count_space_size(total, bins) <= exact_budget:
+            log_fact = np.fromiter(map(math.lgamma, range(1, total + 2)),
+                                   float, total + 1)
+            value = sum(
+                float(rows(env, c, log_fact[total] - log_fact[c].sum(
+                    axis=1, keepdims=True)).sum())
+                for c in _count_blocks(total, bins))
+        elif allow_sampling:
+            value, se = _sampled_expectation(env, total, rows, samples,
+                                             seed + n)
+        else:
+            raise BudgetExceeded(
+                f"count space for n={n} exceeds the exact budget; "
+                "pass allow_sampling=True")
+        points.append(CurvePoint(n, value, n * value if scaled else value,
+                                 "exact" if se is None else "sampled", se))
+    return points
+
+
+def _sampled_expectation(env, draws, rows, samples, seed):
+    """Stratified-by-state Monte Carlo estimate, and its standard error, of
+    ``rows`` at the posterior over count vectors of ``draws`` signals."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    mean, var = 0.0, 0.0
+    for j, w in enumerate(env.state_weights):
+        r = max(2, int(round(samples * w)))
+        counts = rng.multinomial(draws, env.likelihood[j], size=r)
+        log_norm = np.logaddexp.reduce(_log_scores(env, counts), axis=1,
+                                       keepdims=True)
+        vals = rows(env, counts, -log_norm)
+        mean += w * vals.mean()
+        var += w ** 2 * vals.var(ddof=1) / r
+    return float(mean), float(math.sqrt(var))
 
 
 def residual_value_curve(env: IIDEnvironment, n_values, *,
@@ -198,29 +257,8 @@ def residual_value_curve(env: IIDEnvironment, n_values, *,
     Exact via count-vector enumeration when the count space fits the
     budget; otherwise stratified sampling when allowed.
     """
-    calc = _Calculator(env)
-    rows = []
-    for n in n_values:
-        n = int(n)
-        if n < 1:
-            raise ValueError("need at least one sender")
-        m = n - 1
-        if count_space_size(m, env.n_signals) <= exact_budget:
-            value = sum(
-                calc.count_probability(counts) * calc.one_more_signal_value(counts)
-                for counts in _count_vectors(m, env.n_signals))
-            if abs(value) < 1e-14:
-                value = 0.0  # exact-cancellation noise
-            rows.append(CurvePoint(n, float(value), float(n * value), "exact"))
-            continue
-        if not allow_sampling:
-            raise BudgetExceeded(
-                f"count space for n={n} exceeds the exact budget; "
-                "pass allow_sampling=True")
-        value, se = _sampled_expectation(
-            env, calc, m, calc.one_more_signal_value, samples, seed + n)
-        rows.append(CurvePoint(n, value, n * value, "sampled", se))
-    return rows
+    return _curve(env, n_values, 1, _residual_rows, True, exact_budget,
+                  allow_sampling, samples, seed)
 
 
 def decision_error_curve(env: IIDEnvironment, n_values, *,
@@ -229,42 +267,8 @@ def decision_error_curve(env: IIDEnvironment, n_values, *,
                          samples: int = 20_000, seed: int = 0) -> list:
     """Expected stopping-utility shortfall against full information after
     n signals, for each n."""
-    calc = _Calculator(env)
-    full = env.full_info_value()
-    rows = []
-
-    def shortfall(counts):
-        return full - calc.stopping_value(calc.posterior(counts))
-
-    for n in n_values:
-        n = int(n)
-        if count_space_size(n, env.n_signals) <= exact_budget:
-            value = sum(calc.count_probability(c) * shortfall(c)
-                        for c in _count_vectors(n, env.n_signals))
-            rows.append(CurvePoint(n, float(value), float(value), "exact"))
-            continue
-        if not allow_sampling:
-            raise BudgetExceeded(
-                f"count space for n={n} exceeds the exact budget; "
-                "pass allow_sampling=True")
-        value, se = _sampled_expectation(env, calc, n, shortfall, samples,
-                                         seed + n)
-        rows.append(CurvePoint(n, value, value, "sampled", se))
-    return rows
-
-
-def _sampled_expectation(env, calc, draws_per_sample, fn, samples, seed):
-    """Stratified-by-state Monte Carlo estimate of E[fn(counts)] with its
-    standard error."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    mean, var = 0.0, 0.0
-    for j, w in enumerate(env.state_weights):
-        r = max(2, int(round(samples * w)))
-        counts = rng.multinomial(draws_per_sample, env.likelihood[j], size=r)
-        vals = np.array([fn(tuple(c)) for c in counts])
-        mean += w * vals.mean()
-        var += w ** 2 * vals.var(ddof=1) / r
-    return float(mean), float(math.sqrt(var))
+    return _curve(env, n_values, 0, _error_rows, False, exact_budget,
+                  allow_sampling, samples, seed)
 
 
 @dataclass

@@ -142,6 +142,25 @@ def test_utility_size_mismatch(tmp_path, capsys):
     assert "expected 2" in capsys.readouterr().err
 
 
+def test_check_too_many_senders_is_runtime_limit(tmp_path, capsys):
+    def mutate(base):
+        base["components"] = {"state": ["s0", "s1"],
+                              "senders": [["0", "1"]] * 10}
+        base["prior"] = {"product": {
+            "state": [0.5, 0.5],
+            "conditionals": [[[0.8, 0.2], [0.2, 0.8]]] * 10}}
+        base["decision"] = {"actions": ["guess_0", "guess_1", "abstain"],
+                            "utility": {"by_state": {
+                                "guess_0": [1.0, 0.0],
+                                "guess_1": [0.0, 1.0],
+                                "abstain": [0.55, 0.55]}}}
+    code = run(["check", "--scenario", write_scenario(tmp_path, mutate),
+                "--su-samples", "1"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime limit:") and "10 senders" in err
+
+
 # -- solve ------------------------------------------------------------------------
 
 def test_solve_pair_guess(scenario_dir, tmp_path, capsys):
@@ -291,6 +310,16 @@ def test_sweep_large_n_finite(tmp_path):
     assert float(rows[1][3]) == pytest.approx(0.4)
     report = json.loads((tmp_path / "report.json").read_text())
     assert 0 < report["summary"]["fit"]["rho"] < 1
+
+
+@pytest.mark.parametrize("finite", [True, False])
+def test_sweep_large_n_rejects_n_max_below_one(tmp_path, capsys, finite):
+    out = tmp_path / "out"
+    code = run(["sweep", "--sweep-kind", "large-n", "--n-max", "0",
+                "--out", str(out)] + (["--finite"] if finite else []))
+    assert code == 1
+    assert "--n-max" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_large_n(tmp_path):

@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import pytest
 
+from attnmarket import largemarket
 from attnmarket.decision import expected_residual_value
 from attnmarket.equilibrium import aon_rates
 from attnmarket.errors import BudgetExceeded, DegenerateCurve
@@ -147,6 +149,58 @@ def test_fit_rejects_degenerate_curves():
         fit_exponential_rate([(n, 0.0) for n in range(1, 13)])
     with pytest.raises(DegenerateCurve):
         fit_exponential_rate([(1, 0.5), (2, 0.4), (3, 0.3)])
+
+
+# -- far tail -------------------------------------------------------------------------
+
+def exact_default_residual(n):
+    """The default environment's residual at n in exact rationals (accuracy
+    3/5, abstention 11/20), with masses kept as integers in units of
+    1 / (40 * 5**n)."""
+    def best(j0, j1):
+        return max(20 * j0, 20 * j1, 11 * (j0 + j1))
+    m = n - 1
+    total = 0
+    for k in range(m + 1):
+        j0 = math.comb(m, k) * 3 ** k * 2 ** (m - k)
+        j1 = math.comb(m, k) * 2 ** k * 3 ** (m - k)
+        total += best(3 * j0, 2 * j1) + best(2 * j0, 3 * j1) - 5 * best(j0, j1)
+    return Fraction(total, 40 * 5 ** n)
+
+
+def test_decay_fit_past_the_cancellation_floor(env):
+    # values fall from 1.7e-12 to 6.5e-18 here; a residual formed as a
+    # difference of nearby stopping values would be rounding noise
+    curve = residual_value_curve(env, range(1000, 1601, 4))
+    assert all(p.value > 0 for p in curve)
+    fit = fit_exponential_rate(curve)
+    assert 0.0 < fit.rho < 1.0
+    assert fit.r_squared >= 0.98
+
+
+def test_far_tail_matches_exact_rationals(env):
+    exact = float(exact_default_residual(1201))
+    assert exact == pytest.approx(2.6544e-14, rel=1e-4)
+    assert residual_value_curve(env, [1201])[0].value == pytest.approx(
+        exact, rel=1e-12)
+
+
+def test_blocked_count_space_matches_one_block(monkeypatch):
+    env3 = IIDEnvironment(
+        ("lo", "mid", "hi"), (0.3, 0.4, 0.3), ("a", "b", "c"),
+        [[0.6, 0.3, 0.1], [0.2, 0.6, 0.2], [0.1, 0.3, 0.6]],
+        ("pick_lo", "pick_mid", "pick_hi"), [[1.0, 0.0, 0.0],
+                                             [0.0, 1.0, 0.0],
+                                             [0.0, 0.0, 1.0]])
+    ns = range(1, 30)
+
+    def curves():
+        return [p.value for p in residual_value_curve(env3, ns)
+                + decision_error_curve(env3, ns)]
+
+    whole = curves()
+    monkeypatch.setattr(largemarket, "_BLOCK_ROWS", 7)
+    assert curves() == pytest.approx(whole, rel=1e-13, abs=1e-300)
 
 
 # -- sampling fallback ----------------------------------------------------------------
