@@ -50,13 +50,7 @@ from .largemarket import (
     fit_exponential_rate,
     residual_value_curve,
 )
-from .simulate import (
-    FixedOrder,
-    RandomOrder,
-    _Runner,
-    episode_rng,
-    equilibrium_policies,
-)
+from .simulate import FixedOrder, RandomOrder, _replicate, equilibrium_policies
 
 SCHEMA_VERSION = 1
 OUT_ENV_VAR = "ATTNMARKET_OUT"
@@ -340,13 +334,15 @@ def cmd_check(args) -> int:
         raise ScenarioError("'check' needs a finite environment block")
     seed = args.seed if args.seed is not None else 0
     start = time.perf_counter()
+    # first, so that too many senders stop the run before the slower checks
+    mnat = check_mnat_concave(scenario.dp, scenario.prior)
     reports = {
         "assumption2": check_assumption2(scenario.dp, scenario.prior,
                                          scenario.cost),
         "substitutes": check_substitutes(scenario.dp, scenario.prior,
                                          samples=args.su_samples,
                                          seed=seed),
-        "mnat_concave": check_mnat_concave(scenario.dp, scenario.prior),
+        "mnat_concave": mnat,
     }
     report = RunReport("check", scenario.name, reports,
                        wall_clock=time.perf_counter() - start)
@@ -366,8 +362,7 @@ def _solve_finite(scenario, args, out):
     files = []
     path = os.path.join(out, "profile.csv")
     write_csv(path, ["state_id", "revealed_set", "realization", "sender", "rate"],
-              [(r["state_id"], r["revealed_set"], r["realization"],
-                r["sender"], r["rate"]) for r in profile.rows()])
+              profile.rows())
     files.append(path)
 
     path = os.path.join(out, "payoffs.csv")
@@ -490,19 +485,11 @@ def cmd_simulate(args) -> int:
     policies = equilibrium_policies(profile)
     receiver = _receiver_policy(order, n)
 
-    runner = _Runner(scenario.dp, scenario.prior, scenario.cost, policies,
-                     receiver, graph=profile.graph, round_cap=round_cap)
     visit_cols = [f"visits_{i}" for i in range(1, n + 1)]
     episode_rows = []
     trace_rows = []
-    traced = args.trace_episodes or 0
-    visits = np.empty((replications, n))
-    payoffs = np.empty(replications)
-    for k in range(replications):
-        trace = runner.play(episode_rng(seed, k), record=k < traced)
-        for i in range(1, n + 1):
-            visits[k, i - 1] = trace.visits[i]
-        payoffs[k] = trace.payoff
+
+    def record(k, trace):
         episode_rows.append(
             (k, trace.total_rounds, trace.cost, trace.action, trace.payoff)
             + tuple(trace.visits[i] for i in range(1, n + 1)))
@@ -512,28 +499,28 @@ def cmd_simulate(args) -> int:
                                "" if rec.message is None else rec.message,
                                rec.node_id))
 
+    mc = _replicate(scenario.dp, scenario.prior, scenario.cost, policies,
+                    receiver, replications, seed, round_cap, profile.graph,
+                    traced=args.trace_episodes, each=record)
+
     files = []
     path = os.path.join(out, "episodes.csv")
     write_csv(path, ["episode", "rounds", "cost", "action", "payoff"]
               + visit_cols, episode_rows)
     files.append(path)
-    if traced:
+    if args.trace_episodes:
         path = os.path.join(out, "trace.csv")
         write_csv(path, ["episode", "round", "offers", "choice", "message",
                          "state_id"], trace_rows)
         files.append(path)
 
-    root = replications ** 0.5
-    rows = []
-    for i in range(1, n + 1):
-        theory = profile.sender_payoffs[i]
-        emp = float(visits[:, i - 1].mean())
-        se = float(visits[:, i - 1].std(ddof=1) / root) if replications > 1 else 0.0
-        rows.append((f"visits_{i}", i, theory, emp, se))
-    theory = profile.receiver_payoff
-    emp = float(payoffs.mean())
-    se = float(payoffs.std(ddof=1) / root) if replications > 1 else 0.0
-    rows.append(("receiver_payoff", "", theory, emp, se))
+    def stderr(se):
+        return se if replications > 1 else 0.0
+
+    rows = [(f"visits_{i}", i, profile.sender_payoffs[i], mc.mean_visits[i],
+             stderr(mc.se_visits[i])) for i in range(1, n + 1)]
+    rows.append(("receiver_payoff", "", profile.receiver_payoff,
+                 mc.mean_receiver_payoff, stderr(mc.se_receiver_payoff)))
     path = os.path.join(out, "summary.csv")
     write_csv(path, ["quantity", "sender", "theory", "empirical", "stderr"],
               rows)
@@ -739,6 +726,9 @@ def main(argv=None) -> int:
     if getattr(args, "pc", None) is None and getattr(args, "sweep_kind", "") == "alpha":
         args.pc = [0.4, 0.6]
     try:
+        for name in ("su_samples", "trace_episodes", "mc_samples"):
+            if getattr(args, name, 0) < 0:
+                raise ScenarioError(f"--{name.replace('_', '-')} is negative")
         code = args.func(args)
     except ScenarioError as exc:
         print(f"input error: {exc}", file=sys.stderr)

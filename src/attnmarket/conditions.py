@@ -131,6 +131,8 @@ def check_substitutes(dp: DecisionProblem, prior: JointPrior,
     checks ``samples`` random garbled beliefs per sender (each certified to
     carry no direct information from that sender).
     """
+    if samples < 0:
+        raise ValueError("need a non-negative number of samples")
     report = ConditionReport("substitutes", holds=True, margin=np.inf)
     report.note = ("exact on all revelation beliefs; "
                    f"{samples} sampled garbled beliefs per sender")

@@ -11,16 +11,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .conditions import check_assumption2, check_substitutes
-from .decision import (
-    DecisionProblem,
-    _Lattice,
-    _revealed_values,
-    full_reveal_value,
-)
+from .decision import DecisionProblem, _Lattice, full_reveal_value
 from .environment import Belief, JointPrior, condition_on_components, merge_senders
 from .errors import AssumptionViolated, ConditionNotVerified, UnknownComponent
 
@@ -44,50 +40,68 @@ class StateNode:
 
 
 class StateGraph:
-    """Reachable exact-revelation states of an environment; stopping values
-    and revelation transitions are read off the prior's lattice."""
+    """Reachable exact-revelation states of an environment, as arrays over
+    the prior's lattice.  Node ``k`` is row ``k`` of ``cells`` (each sender's
+    revealed value index, -1 while unrevealed; lattice node order); ``ids``
+    maps every lattice cell to its node id, -1 where it has no mass.
+    ``stopping_values`` and ``stop_actions`` hold each node's best expected
+    utility and the index of an action attaining it."""
 
     def __init__(self, prior: JointPrior, dp: DecisionProblem):
         self.prior = prior
         self.dp = dp
-        self.nodes: list[StateNode] = []
-        self._lattice = _Lattice(dp, prior.mass)
-        self._index: dict = {}
-        self._cells = [tuple(map(int, cell)) for cell in self._lattice.nodes()]
-        self._ids = {cell: k for k, cell in enumerate(self._cells)}
-        for cell in self._cells:
-            assignment = _revealed_values(prior, cell)
-            key = (tuple(assignment), tuple(assignment.values()))
-            self._index[key] = len(self.nodes)
-            self.nodes.append(StateNode(len(self.nodes), *key))
+        lattice = self._lattice = _Lattice(dp, prior.mass)
+        self.cells = lattice.nodes()
+        at = tuple(self.cells.T)
+        self.ids = np.full(lattice.mass.shape, -1)
+        self.ids[at] = np.arange(len(self.cells))
+        self.stopping_values = lattice.value[at] / lattice.mass[at]
+        self.stop_actions = lattice.eu[(slice(None),) + at].argmax(axis=0)
+        n = prior.n_senders
+        by_mask = [tuple(i for i in range(1, n + 1) if not mask >> (i - 1) & 1)
+                   for mask in range(1 << n)]
+        masks = (self.cells >= 0) @ (1 << np.arange(n))
+        self._unrevealed = [by_mask[m] for m in masks.tolist()]
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.cells)
+
+    def _node(self, node_id: int) -> StateNode:
+        cell = self.cells[node_id].tolist()
+        revealed = tuple(i for i, v in enumerate(cell, 1) if v >= 0)
+        return StateNode(node_id, revealed, tuple(
+            self.prior.spaces[i].values[cell[i - 1]] for i in revealed))
+
+    @cached_property
+    def nodes(self) -> list[StateNode]:
+        return [self._node(k) for k in range(len(self))]
 
     @property
     def root(self) -> StateNode:
-        return self.nodes[0]
+        return self._node(0)
 
     def node_id(self, revealed, values) -> int:
         key = (tuple(revealed), tuple(values))
-        if key not in self._index:
+        cell = [-1] * self.prior.n_senders
+        for i, v in zip(*key):
+            if 0 < i <= len(cell) and v in self.prior.spaces[i].values:
+                cell[i - 1] = self.prior.spaces[i].values.index(v)
+        k = int(self.ids[tuple(cell)])
+        if k < 0 or self._node(k) != StateNode(k, *key):
             raise KeyError(f"no reachable state {key}")
-        return self._index[key]
+        return k
 
     def unrevealed(self, node_id: int) -> tuple:
-        node = self.nodes[node_id]
-        return tuple(i for i in range(1, self.prior.n_senders + 1)
-                     if i not in node.revealed)
+        return self._unrevealed[node_id]
 
     def belief(self, node_id: int) -> Belief:
-        node = self.nodes[node_id]
+        node = self._node(node_id)
         if node.revealed:
             return condition_on_components(self.prior, node.assignment)
         return self.prior.belief()
 
     def stopping_value(self, node_id: int) -> float:
-        cell = self._cells[node_id]
-        return float(self._lattice.value[cell] / self._lattice.mass[cell])
+        return float(self.stopping_values[node_id])
 
     def transitions(self, node_id: int, sender: int):
         """Positive-probability revelations of one sender's component:
@@ -95,16 +109,14 @@ class StateGraph:
         if sender not in self.unrevealed(node_id):
             raise UnknownComponent(
                 f"sender {sender} already revealed at state {node_id}")
+        cell = tuple(self.cells[node_id])
+        row = cell[:sender - 1] + (slice(-1),) + cell[sender:]
         mass = self._lattice.mass
-        cell = list(self._cells[node_id])
-        total = mass[tuple(cell)]
-        out = []
-        for v, value in enumerate(self.prior.spaces[sender].values):
-            cell[sender - 1] = v
-            if mass[tuple(cell)] > 0.0:
-                out.append((value, float(mass[tuple(cell)] / total),
-                            self._ids[tuple(cell)]))
-        return out
+        probs = mass[row] / mass[cell]
+        children = self.ids[row]
+        values = self.prior.spaces[sender].values
+        return [(values[v], float(probs[v]), int(children[v]))
+                for v in np.flatnonzero(children >= 0)]
 
 
 @dataclass
@@ -128,21 +140,15 @@ class EquilibriumProfile:
     def rate(self, node_id: int, sender: int) -> float:
         return self.rates[(node_id, sender)]
 
-    def rate_table(self, sender: int) -> dict:
-        return {nid: r for (nid, s), r in self.rates.items() if s == sender}
-
     def rows(self):
         """Profile rows (state id, revealed set, realization, sender, rate)
-        for serialization."""
-        for (nid, sender), rate in sorted(self.rates.items()):
-            node = self.graph.nodes[nid]
-            yield {
-                "state_id": nid,
-                "revealed_set": "|".join(str(i) for i in node.revealed),
-                "realization": "|".join(str(v) for v in node.values),
-                "sender": sender,
-                "rate": rate,
-            }
+        for serialization, by state and then sender."""
+        for node in self.graph.nodes:
+            revealed = "|".join(str(i) for i in node.revealed)
+            realization = "|".join(str(v) for v in node.values)
+            for sender in self.graph.unrevealed(node.id):
+                yield (node.id, revealed, realization, sender,
+                       self.rates[(node.id, sender)])
 
 
 def monopoly_rate(dp: DecisionProblem, prior: JointPrior, cost: float) -> float:
@@ -188,15 +194,20 @@ def aon_rates(dp: DecisionProblem, prior: JointPrior, cost: float, *,
     )
     lattice = graph._lattice
     everyone = tuple(range(1, prior.n_senders + 1))
-    for node, cell in zip(graph.nodes, graph._cells):
-        for i in graph.unrevealed(node.id):
-            # cost / residual value, with H_i = residual value * P
-            residual = lattice.residual(i)[cell]
-            profile.rates[(node.id, i)] = (
-                float(cost * lattice.mass[cell] / residual)
-                if residual > 0.0 else float("inf"))
-    profile.sender_payoffs = {i: float(lattice.residual(i)[graph._cells[0]])
-                              / cost for i in everyone}
+    # one rate per (node, unrevealed sender): cost / residual value, with
+    # H_i = residual value * P
+    node_ids, senders = np.nonzero(graph.cells < 0)
+    at = tuple(graph.cells[node_ids].T)
+    residual = np.stack([np.broadcast_to(lattice.residual(i), graph.ids.shape)
+                         for i in everyone])[(senders,) + at]
+    with np.errstate(divide="ignore"):
+        rates = np.where(residual > 0.0, cost * lattice.mass[at] / residual,
+                         np.inf)
+    profile.rates = dict(zip(zip(node_ids.tolist(), (senders + 1).tolist()),
+                             rates.tolist()))
+    root = (-1,) * prior.n_senders
+    profile.sender_payoffs = {i: float(lattice.residual(i)[root]) / cost
+                              for i in everyone}
     profile.receiver_payoff = (
         lattice.coalition(everyone)
         - cost * sum(profile.sender_payoffs.values()))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decision import DecisionProblem, _expected_utilities, full_reveal_value
+from .decision import DecisionProblem, full_reveal_value
 from .environment import Belief, Experiment, JointPrior
 from .equilibrium import EquilibriumProfile, StateGraph, aon_rates
 from .errors import NonAoNPolicy, RoundLimitExceeded
@@ -186,26 +186,26 @@ def solve_receiver_dp(dp: DecisionProblem, prior: JointPrior, cost: float,
         if policy is None or not hasattr(policy, "rate"):
             raise NonAoNPolicy(f"sender {i} has no all-or-nothing rate table")
     sol = DpSolution({}, {}, {}, {}, {})
-    order = sorted(graph.nodes, key=lambda nd: len(nd.revealed), reverse=True)
-    for node in order:
-        stop_value = graph.stopping_value(node.id)
+    # children reveal one sender more, so they come later in node order
+    for node in reversed(range(len(graph))):
+        stop_value = graph.stopping_value(node)
         best_sender, best_cont = 0, -np.inf
-        for i in graph.unrevealed(node.id):
-            lam = sender_policies[i].rate(node.id)
+        for i in graph.unrevealed(node):
+            lam = sender_policies[i].rate(node)
             if lam <= 0.0:
                 continue
             nxt = sum(p * sol.values[child]
-                      for _, p, child in graph.transitions(node.id, i))
+                      for _, p, child in graph.transitions(node, i))
             cont = nxt - cost / lam
             if cont > best_cont + TIE_TOL:
                 best_sender, best_cont = i, cont
         value = max(stop_value, best_cont)
-        sol.values[node.id] = value
-        sol.best_sender[node.id] = best_sender
-        sol.stop_optimal[node.id] = stop_value >= best_cont - TIE_TOL
-        sol.continue_optimal[node.id] = (best_sender != 0
-                                         and best_cont >= stop_value - TIE_TOL)
-        sol.continuation[node.id] = best_cont
+        sol.values[node] = value
+        sol.best_sender[node] = best_sender
+        sol.stop_optimal[node] = stop_value >= best_cont - TIE_TOL
+        sol.continue_optimal[node] = (best_sender != 0
+                                      and best_cont >= stop_value - TIE_TOL)
+        sol.continuation[node] = best_cont
     return graph, sol
 
 
@@ -273,28 +273,9 @@ class _Runner:
         self.round_cap = round_cap
         self.cdf = np.cumsum(prior.mass.ravel())
         self.shape = prior.mass.shape
-        self._children = {}     # (node, sender) -> {value index: child}
-        self._actions = {}      # node -> (action index, action label)
         u = dp.utility
         self._u_index = [1 if u.shape[1 + k] > 1 else 0
                          for k in range(len(self.shape))]
-
-    def children(self, node_id, sender):
-        key = (node_id, sender)
-        if key not in self._children:
-            space = self.prior.spaces[sender]
-            self._children[key] = {
-                space.values.index(v): child
-                for v, _, child in self.graph.transitions(node_id, sender)
-            }
-        return self._children[key]
-
-    def stop_action(self, node_id):
-        if node_id not in self._actions:
-            eu = _expected_utilities(self.dp, self.graph.belief(node_id).mass)
-            a = int(np.argmax(eu))
-            self._actions[node_id] = (a, self.dp.actions[a])
-        return self._actions[node_id]
 
     def utility_at(self, action_index, joint_index):
         idx = tuple(j * f for j, f in zip(joint_index, self._u_index))
@@ -305,7 +286,7 @@ class _Runner:
         joint_index = np.unravel_index(min(flat, len(self.cdf) - 1), self.shape)
         state = tuple(s.values[v] for s, v in zip(self.prior.spaces, joint_index))
         ctx = self.receiver.begin(self.graph, rng)
-        node = self.graph.root.id
+        node = 0  # the root: nothing revealed
         visits = {i: 0 for i in range(1, self.prior.n_senders + 1)}
         rounds = 0
         rows = [] if record else None
@@ -325,7 +306,9 @@ class _Runner:
                 raise RoundLimitExceeded(
                     f"episode exceeded the round cap {self.round_cap}")
             value_index = joint_index[choice]
-            child = self.children(node, choice)[value_index]
+            cell = self.graph.cells[node].copy()
+            cell[choice - 1] = value_index
+            child = int(self.graph.ids[tuple(cell)])
             if record:
                 offers = tuple(sorted(rates.items()))
                 for k in range(block - 1):
@@ -337,7 +320,7 @@ class _Runner:
             visits[choice] += block
             rounds += block
             node = child
-        a_idx, a_label = self.stop_action(node)
+        a_idx = int(self.graph.stop_actions[node])
         utility = self.utility_at(a_idx, joint_index)
         return EpisodeTrace(
             state=state,
@@ -345,7 +328,7 @@ class _Runner:
             visits=visits,
             total_rounds=rounds,
             cost=self.cost * rounds,
-            action=a_label,
+            action=self.dp.actions[a_idx],
             realized_utility=utility,
             final_node=node,
         )
@@ -389,6 +372,17 @@ def monte_carlo(dp, prior, cost, sender_policies, receiver_policy,
                 round_cap: int = DEFAULT_ROUND_CAP,
                 graph: StateGraph | None = None) -> MonteCarloSummary:
     """Run independent replications and summarize visits and payoffs."""
+    return _replicate(dp, prior, cost, sender_policies, receiver_policy,
+                      replications, seed, round_cap, graph)
+
+
+def _replicate(dp, prior, cost, sender_policies, receiver_policy,
+               replications, seed, round_cap=DEFAULT_ROUND_CAP, graph=None,
+               traced=0, each=None) -> MonteCarloSummary:
+    """The replication loop behind ``monte_carlo`` and the ``simulate``
+    command: episode k plays on ``episode_rng(seed, k)``, the first
+    ``traced`` episodes keep their per-round records, and ``each(k, trace)``
+    sees every episode."""
     if replications < 1:
         raise ValueError("need at least one replication")
     runner = _Runner(dp, prior, cost, sender_policies, receiver_policy,
@@ -398,11 +392,13 @@ def monte_carlo(dp, prior, cost, sender_policies, receiver_policy,
     payoffs = np.empty(replications)
     stopping = Counter()
     for k in range(replications):
-        trace = runner.play(episode_rng(seed, k), record=False)
+        trace = runner.play(episode_rng(seed, k), record=k < traced)
         for i in range(1, n + 1):
             visits[k, i - 1] = trace.visits[i]
         payoffs[k] = trace.payoff
         stopping[trace.total_rounds] += 1
+        if each is not None:
+            each(k, trace)
     root = replications ** 0.5
 
     def se(arr):

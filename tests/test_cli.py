@@ -5,7 +5,10 @@ from pathlib import Path
 import pytest
 import yaml
 
-from attnmarket.cli import main
+from attnmarket import cli
+from attnmarket.cli import load_scenario, main
+from attnmarket.equilibrium import aon_rates
+from attnmarket.simulate import RandomOrder, equilibrium_policies, monte_carlo
 
 SCHEMAS = {
     "profile.csv": ["state_id", "revealed_set", "realization", "sender", "rate"],
@@ -161,6 +164,30 @@ def test_check_too_many_senders_is_runtime_limit(tmp_path, capsys):
     assert err.startswith("runtime limit:") and "10 senders" in err
 
 
+def test_check_sender_limit_runs_before_the_other_checks(tmp_path, capsys,
+                                                        monkeypatch):
+    """The 10-sender run above, with the slower checks made to fail if
+    called: the sender limit must stop `check` before either runs."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a condition check ran past the sender limit")
+    monkeypatch.setattr(cli, "check_assumption2", fail)
+    monkeypatch.setattr(cli, "check_substitutes", fail)
+    test_check_too_many_senders_is_runtime_limit(tmp_path, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--scenario", "pair_guess.yaml", "--su-samples", "-3"],
+    ["simulate", "--scenario", "pair_guess.yaml", "--trace-episodes", "-1"],
+    ["sweep", "--sweep-kind", "bridge", "--mc-samples", "-1"],
+])
+def test_rejects_negative_counts(scenario_dir, tmp_path, capsys, argv):
+    argv = [str(scenario_dir / a) if a.endswith(".yaml") else a for a in argv]
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 1
+    assert argv[-2] in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- solve ------------------------------------------------------------------------
 
 def test_solve_pair_guess(scenario_dir, tmp_path, capsys):
@@ -261,6 +288,34 @@ def test_simulate_rejects_zero_counts(scenario_dir, tmp_path, flag):
                 flag, "0", "--out", str(tmp_path)])
     assert code == 1
     assert not (tmp_path / "episodes.csv").exists()
+
+
+@pytest.mark.parametrize("replications", [1, 300])
+def test_simulate_summary_is_library_monte_carlo(scenario_dir, tmp_path,
+                                                 replications):
+    """`simulate` and `monte_carlo` share one replication loop: the same
+    seed, policies and count give the same means to the last bit."""
+    path = scenario_dir / "pair_guess.yaml"
+    assert run(["simulate", "--scenario", str(path), "--replications",
+                str(replications), "--seed", "5", "--receiver-order", "random",
+                "--out", str(tmp_path)]) == 0
+    scenario = load_scenario(path)
+    profile = aon_rates(scenario.dp, scenario.prior, scenario.cost)
+    mc = monte_carlo(scenario.dp, scenario.prior, scenario.cost,
+                     equilibrium_policies(profile), RandomOrder(),
+                     replications=replications, seed=5)
+    with open(tmp_path / "summary.csv") as fh:
+        rows = {r["quantity"]: r for r in csv.DictReader(fh)}
+    library = {"visits_1": (mc.mean_visits[1], mc.se_visits[1]),
+               "visits_2": (mc.mean_visits[2], mc.se_visits[2]),
+               "receiver_payoff": (mc.mean_receiver_payoff,
+                                   mc.se_receiver_payoff)}
+    for quantity, (mean, se) in library.items():
+        assert float(rows[quantity]["empirical"]) == mean
+        if replications == 1:
+            assert rows[quantity]["stderr"] == "0.0"
+        else:
+            assert float(rows[quantity]["stderr"]) == se
 
 
 def test_simulate_gated(scenario_dir, tmp_path):

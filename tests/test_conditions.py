@@ -84,6 +84,12 @@ def test_substitutes_three_action(three_action):
     assert report.holds
 
 
+def test_substitutes_rejects_negative_samples(pair_guess):
+    prior, dp = pair_guess
+    with pytest.raises(ValueError):
+        check_substitutes(dp, prior, samples=-1)
+
+
 def test_substitutes_deterministic_given_seed(coin_match):
     prior, dp = coin_match
     a = check_substitutes(dp, prior, samples=15, seed=9)

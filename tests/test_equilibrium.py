@@ -1,11 +1,17 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracle
 
 from attnmarket import presets
 from attnmarket.decision import (
+    DecisionProblem,
     coalition_value,
     expected_conditioned_value,
     full_reveal_value,
@@ -17,6 +23,7 @@ from attnmarket.equilibrium import (
     merge_environment,
     monopoly_rate,
 )
+from attnmarket.environment import ComponentSpace, JointPrior
 from attnmarket.errors import (
     AssumptionViolated,
     ConditionNotVerified,
@@ -322,3 +329,73 @@ def test_graph_skips_zero_mass_states():
     graph = StateGraph(prior, dp)
     full_nodes = [n for n in graph.nodes if len(n.revealed) == 2]
     assert {n.values for n in full_nodes} == {("a", "x"), ("b", "y")}
+
+
+@st.composite
+def small_priors(draw):
+    """1-3 senders with 1-3 values each; cells of zero mass are common."""
+    n_senders = draw(st.integers(1, 3))
+    sizes = [draw(st.integers(1, 2))] + [draw(st.integers(1, 3))
+                                         for _ in range(n_senders)]
+    spaces = tuple(ComponentSpace(k, tuple(f"v{j}" for j in range(s)))
+                   for k, s in enumerate(sizes))
+    total = int(np.prod(sizes))
+    weights = draw(st.lists(st.integers(0, 3), min_size=total,
+                            max_size=total).filter(any))
+    mass = np.asarray(weights, dtype=float).reshape(sizes)
+    n_actions = draw(st.integers(1, 3))
+    table = draw(st.lists(st.floats(-3.0, 3.0, allow_nan=False, width=32),
+                          min_size=n_actions * total,
+                          max_size=n_actions * total))
+    dp = DecisionProblem(tuple(f"a{j}" for j in range(n_actions)),
+                         np.asarray(table).reshape((n_actions,) + tuple(sizes)))
+    return JointPrior(spaces, mass / mass.sum()), dp
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_priors())
+def test_graph_matches_independent_enumeration(problem):
+    """Nodes, ids, transitions and stopping values against a plain
+    enumeration of the positive-mass revealed assignments."""
+    prior, dp = problem
+    mu, utility, actions = oracle.as_dicts(prior, dp)
+    mu = {joint: p for joint, p in mu.items() if p > 0.0}
+    n = prior.n_senders
+
+    def weight(assignment):
+        return sum(p for joint, p in mu.items()
+                   if all(joint[i] == v for i, v in assignment.items()))
+
+    expected = [(S, values)
+                for r in range(n + 1)
+                for S in itertools.combinations(range(1, n + 1), r)
+                for values in itertools.product(
+                    *(prior.spaces[i].values for i in S))
+                if weight(dict(zip(S, values))) > 0.0]
+    graph = StateGraph(prior, dp)
+    assert len(graph) == len(expected)
+    assert [(node.revealed, node.values) for node in graph.nodes] == expected
+    assert graph.root == graph.nodes[0]
+    for k, (S, values) in enumerate(expected):
+        assert graph.node_id(S, values) == k
+        assert graph.unrevealed(k) == tuple(i for i in range(1, n + 1)
+                                            if i not in S)
+        assignment = dict(zip(S, values))
+        for i in graph.unrevealed(k):
+            want = []
+            for v in prior.spaces[i].values:
+                child = {**assignment, i: v}
+                if weight(child) > 0.0:
+                    key = tuple(sorted(child.items()))
+                    want.append((v, weight(child) / weight(assignment),
+                                 expected.index(tuple(zip(*key)))))
+            got = graph.transitions(k, i)
+            assert [(v, c) for v, _, c in got] == [(v, c) for v, _, c in want]
+            assert [p for _, p, _ in got] == pytest.approx(
+                [p for _, p, _ in want], rel=0.0, abs=1e-12)
+        conditional = oracle.condition(mu, assignment)
+        best = oracle.stopping_value(actions, utility, conditional)
+        assert abs(graph.stopping_value(k) - best) <= 1e-12
+        chosen = actions[graph.stop_actions[k]]
+        assert oracle.stopping_value([chosen], utility,
+                                     conditional) >= best - 1e-12
