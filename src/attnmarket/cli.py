@@ -21,7 +21,7 @@ import yaml
 
 from .conditions import check_assumption2, check_mnat_concave, check_substitutes
 from .decision import DecisionProblem
-from .environment import ComponentSpace, JointPrior
+from .environment import ComponentSpace, JointPrior, probabilities
 from .equilibrium import aon_rates, marginal_prices
 from .errors import (
     AssumptionViolated,
@@ -51,6 +51,7 @@ from .largemarket import (
     residual_value_curve,
 )
 from .simulate import FixedOrder, RandomOrder, _replicate, equilibrium_policies
+from .tolerance import ROUNDING
 
 SCHEMA_VERSION = 1
 OUT_ENV_VAR = "ATTNMARKET_OUT"
@@ -110,12 +111,6 @@ def _positive(value, where):
     if out <= 0:
         raise ScenarioError(f"{where} must be positive, got {out}")
     return out
-
-
-def _row_sum_check(row, where):
-    total = float(np.sum(row))
-    if abs(total - 1.0) > 1e-9:
-        raise ScenarioError(f"{where} sums to {total!r}, not 1")
 
 
 def load_scenario(path) -> Scenario:
@@ -179,47 +174,9 @@ def _parse_finite(raw):
                                 "non-empty list of values")
         spaces.append(ComponentSpace(i, tuple(values)))
     shape = tuple(s.size for s in spaces)
-
-    prior_block = _need(raw, "prior", "scenario")
-    if ("dense" in prior_block) == ("product" in prior_block):
-        raise ScenarioError("prior must have exactly one of 'dense' or 'product'")
-    if "dense" in prior_block:
-        flat = np.asarray(prior_block["dense"], dtype=float).ravel()
-        if flat.size != int(np.prod(shape)):
-            raise ScenarioError(
-                f"prior.dense has {flat.size} entries, expected "
-                f"{int(np.prod(shape))} (row-major over state x senders)")
-        _row_sum_check(flat, "prior.dense")
-        mass = flat.reshape(shape)
-    else:
-        product = prior_block["product"]
-        marginal = np.asarray(_need(product, "state", "prior.product"),
-                              dtype=float)
-        if marginal.shape != (shape[0],):
-            raise ScenarioError("prior.product.state length must match the "
-                                "state value list")
-        _row_sum_check(marginal, "prior.product.state")
-        conds = _need(product, "conditionals", "prior.product")
-        if len(conds) != len(senders):
-            raise ScenarioError("prior.product.conditionals needs one matrix "
-                                "per sender")
-        mass = marginal.reshape((shape[0],) + (1,) * len(senders))
-        for i, rows in enumerate(conds, start=1):
-            table = np.asarray(rows, dtype=float)
-            if table.shape != (shape[0], shape[i]):
-                raise ScenarioError(
-                    f"prior.product.conditionals[{i - 1}] must be "
-                    f"{shape[0]} rows x {shape[i]} values")
-            for r in range(shape[0]):
-                _row_sum_check(
-                    table[r],
-                    f"prior.product.conditionals[{i - 1}] row {r}")
-            block_shape = [1] * len(shape)
-            block_shape[0] = shape[0]
-            block_shape[i] = shape[i]
-            mass = mass * table.reshape(block_shape)
     try:
-        prior = JointPrior(spaces, mass)
+        prior = JointPrior(spaces, _prior_mass(_need(raw, "prior", "scenario"),
+                                               shape))
     except ValueError as exc:
         raise ScenarioError(f"invalid prior: {exc}") from None
 
@@ -256,6 +213,47 @@ def _parse_finite(raw):
             blocks.append(row.reshape(shape))
         dp = DecisionProblem(actions, np.stack(blocks))
     return prior, dp
+
+
+def _prior_mass(prior_block, shape) -> np.ndarray:
+    """The joint mass a prior block describes, as written (not
+    renormalized); an invalid probability vector in it raises
+    ``ValueError`` naming its field."""
+    if ("dense" in prior_block) == ("product" in prior_block):
+        raise ScenarioError("prior must have exactly one of 'dense' or 'product'")
+    if "dense" in prior_block:
+        flat = np.asarray(prior_block["dense"], dtype=float).ravel()
+        if flat.size != int(np.prod(shape)):
+            raise ScenarioError(
+                f"prior.dense has {flat.size} entries, expected "
+                f"{int(np.prod(shape))} (row-major over state x senders)")
+        probabilities(flat, "prior.dense")
+        return flat.reshape(shape)
+    product = prior_block["product"]
+    marginal = np.asarray(_need(product, "state", "prior.product"), dtype=float)
+    if marginal.shape != (shape[0],):
+        raise ScenarioError("prior.product.state length must match the "
+                            "state value list")
+    probabilities(marginal, "prior.product.state")
+    conds = _need(product, "conditionals", "prior.product")
+    if len(conds) != len(shape) - 1:
+        raise ScenarioError("prior.product.conditionals needs one matrix "
+                            "per sender")
+    mass = marginal.reshape((shape[0],) + (1,) * len(conds))
+    for i, rows in enumerate(conds, start=1):
+        table = np.asarray(rows, dtype=float)
+        if table.shape != (shape[0], shape[i]):
+            raise ScenarioError(
+                f"prior.product.conditionals[{i - 1}] must be "
+                f"{shape[0]} rows x {shape[i]} values")
+        for r in range(shape[0]):
+            probabilities(table[r],
+                          f"prior.product.conditionals[{i - 1}] row {r}")
+        block_shape = [1] * len(shape)
+        block_shape[0] = shape[0]
+        block_shape[i] = shape[i]
+        mass = mass * table.reshape(block_shape)
+    return mass
 
 
 def _parse_gaussian(block) -> dict:
@@ -607,8 +605,9 @@ def cmd_sweep(args) -> int:
         path = os.path.join(out, "symmetry.csv")
         write_csv(path, ["allocation", "payoff", "is_best", "is_symmetric"],
                   [("|".join(fmt(p) for p in alloc), payoff,
-                    payoff >= rep.best_payoff - 1e-15,
-                    alloc == rep.symmetric_allocation)
+                    payoff >= rep.best_payoff - ROUNDING,
+                    max(abs(a - s) for a, s in
+                        zip(alloc, rep.symmetric_allocation)) <= ROUNDING)
                    for alloc, payoff in rep.allocations])
         files.append(path)
         summary = {

@@ -17,8 +17,8 @@ import numpy as np
 from .decision import DecisionProblem, _Lattice, _revealed_values
 from .environment import Belief, Experiment, JointPrior, no_direct_info, update
 from .errors import AttnMarketError, SubsetSpaceTooLarge
+from .tolerance import SLACK_TOL
 
-INEQ_TOL = 1e-10
 # The all-pairs M-natural check grows about 4.5x per sender: at 9 senders
 # it makes 589,824 pair checks in about 3.5 s, at 10 about 20 s.
 MAX_SUBSET_SENDERS = 9
@@ -65,7 +65,7 @@ def check_assumption2(dp: DecisionProblem, prior: JointPrior,
         slack = values - cost
         report.checked += len(rows)
         report.margin = min(report.margin, float(slack.min()))
-        for k in np.flatnonzero(slack <= INEQ_TOL):
+        for k in np.flatnonzero(slack <= SLACK_TOL):
             report.holds = False
             report.witnesses.append({
                 "sender": i,
@@ -108,10 +108,10 @@ def _score_substitutes(report: ConditionReport, sender: int, layer: str,
     lhs = lattice.gain(sender)[at] / mass
     rhs = lattice.residual(sender)[at] / mass
     slack = lhs - rhs
-    slack[(-INEQ_TOL <= slack) & (slack < 0.0)] = 0.0  # equality up to rounding
+    slack[(-SLACK_TOL <= slack) & (slack < 0.0)] = 0.0  # equality up to rounding
     report.checked += slack.size
     report.margin = min(report.margin, float(slack.min()))
-    for k in np.flatnonzero(slack < -INEQ_TOL):
+    for k in np.flatnonzero(slack < -SLACK_TOL):
         report.holds = False
         report.witnesses.append({
             "sender": sender,
@@ -180,11 +180,11 @@ def check_mnat_concave(dp: DecisionProblem, prior: JointPrior) -> ConditionRepor
                            for t in T - S]
             rhs = max(candidates)
             slack = rhs - lhs
-            if -INEQ_TOL <= slack < 0.0:
+            if -SLACK_TOL <= slack < 0.0:
                 slack = 0.0  # equality up to rounding
             report.checked += 1
             report.margin = min(report.margin, slack)
-            if slack < -INEQ_TOL:
+            if slack < -SLACK_TOL:
                 report.holds = False
                 report.witnesses.append({
                     "S": sorted(S),

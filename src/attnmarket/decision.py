@@ -21,8 +21,7 @@ from .environment import (
     condition_on_components,
 )
 from .errors import UnknownComponent
-
-VALUE_TOL = 1e-10
+from .tolerance import SLACK_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +66,7 @@ class ValueReport:
     optimal_action: object
 
     def __post_init__(self):
-        if self.full_info_value < self.stopping_value - VALUE_TOL:
+        if self.full_info_value < self.stopping_value - SLACK_TOL:
             raise ValueError("full-information value below stopping value")
 
 

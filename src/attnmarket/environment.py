@@ -16,9 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnknownComponent, ZeroMassEvent, ZeroProbabilityMessage
-
-MASS_TOL = 1e-12      # normalization tolerance at construction
-RATIO_RTOL = 1e-9     # relative tolerance for likelihood-ratio tests
+from .tolerance import ROUNDING, TINY
 
 
 @dataclass(frozen=True)
@@ -61,6 +59,22 @@ def _as_mass_array(spaces, mass) -> np.ndarray:
     return arr
 
 
+def probabilities(values, where: str, axis=None) -> np.ndarray:
+    """Validate probabilities: no entry below -ROUNDING, and the sum (each
+    sum along ``axis``, when given) within ROUNDING of 1.  Returns the
+    entries clipped at 0 and divided by their sums; ``where`` names the
+    input in the ``ValueError`` raised otherwise."""
+    arr = np.asarray(values, dtype=float)
+    if np.any(arr < -ROUNDING):
+        raise ValueError(f"{where} has a negative entry {float(arr.min())!r}")
+    arr = np.clip(arr, 0.0, None)
+    total = arr.sum(axis=axis, keepdims=True)
+    off = ~(np.abs(total - 1.0) <= ROUNDING)   # a nan sum is off too
+    if np.any(off):
+        raise ValueError(f"{where} sums to {float(total[off][0])!r}, not 1")
+    return arr / total
+
+
 def _validate_spaces(spaces):
     spaces = tuple(spaces)
     for k, s in enumerate(spaces):
@@ -78,16 +92,7 @@ class JointPrior:
 
     def __init__(self, spaces, mass):
         spaces = _validate_spaces(spaces)
-        arr = _as_mass_array(spaces, mass)
-        if np.any(arr < -MASS_TOL):
-            raise ValueError("prior has negative mass")
-        arr = np.clip(arr, 0.0, None)
-        total = arr.sum()
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValueError(f"prior mass sums to {total!r}, not 1")
-        if not np.any(arr > 0):
-            raise ValueError("prior support is empty")
-        arr = arr / total
+        arr = probabilities(_as_mass_array(spaces, mass), "prior mass")
         arr.flags.writeable = False
         object.__setattr__(self, "spaces", spaces)
         object.__setattr__(self, "mass", arr)
@@ -121,14 +126,7 @@ class Belief:
 
     def __init__(self, spaces, mass):
         spaces = _validate_spaces(spaces)
-        arr = _as_mass_array(spaces, mass)
-        if np.any(arr < -MASS_TOL):
-            raise ValueError("belief has negative mass")
-        arr = np.clip(arr, 0.0, None)
-        total = arr.sum()
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValueError(f"belief mass sums to {total!r}, not 1")
-        arr = arr / total
+        arr = probabilities(_as_mass_array(spaces, mass), "belief mass")
         arr.flags.writeable = False
         object.__setattr__(self, "spaces", spaces)
         object.__setattr__(self, "mass", arr)
@@ -178,13 +176,7 @@ class Experiment:
                 f"kernel shape {arr.shape} does not match "
                 f"{space.size} values x {len(messages)} messages"
             )
-        if np.any(arr < -MASS_TOL):
-            raise ValueError("kernel has negative entries")
-        arr = np.clip(arr, 0.0, None)
-        rows = arr.sum(axis=1)
-        if np.any(np.abs(rows - 1.0) > MASS_TOL):
-            raise ValueError("kernel rows must each sum to 1")
-        arr = arr / rows[:, None]
+        arr = probabilities(arr, "kernel row", axis=1)
         arr.flags.writeable = False
         object.__setattr__(self, "sender", sender)
         object.__setattr__(self, "messages", messages)
@@ -311,14 +303,21 @@ def no_direct_info(belief: Belief, prior: JointPrior, sender: int) -> bool:
     lhs = b[:, None, :] * p[None, :, :]
     diff = np.abs(lhs - lhs.transpose(1, 0, 2))
     scale = np.maximum(lhs, lhs.transpose(1, 0, 2))
-    return bool(np.all(diff <= RATIO_RTOL * np.maximum(scale, 1e-300)))
+    return bool(np.all(diff <= ROUNDING * np.maximum(scale, TINY)))
+
+
+def _fuse_axes(arr: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Move axis ``b`` next to axis ``a < b`` and fuse the two into one
+    axis at position ``a``, ``a``'s index varying slowest."""
+    moved = np.moveaxis(arr, b, a + 1)
+    return moved.reshape(moved.shape[:a] + (-1,) + moved.shape[a + 2:])
 
 
 def merge_senders(prior: JointPrior, first: int = 1, second: int = 2):
     """Replace two senders by a single sender holding the product component.
 
     Returns the merged prior together with a map from merged joint states to
-    original ones (used to rebuild utility tables).
+    original ones.
     """
     if first == second:
         raise ValueError("cannot merge a sender with itself")
@@ -327,34 +326,16 @@ def merge_senders(prior: JointPrior, first: int = 1, second: int = 2):
     for k in (a, b):
         if not (1 <= k < len(spaces)):
             raise UnknownComponent(f"sender index {k} out of range")
-    merged_values = tuple(itertools.product(spaces[a].values, spaces[b].values))
     # merged component replaces position a; b disappears; senders above b shift
-    new_spaces = []
-    old_axes = []  # for each new axis, the originating old axis or (a, b)
-    next_id = 0
-    for k, s in enumerate(spaces):
-        if k == a:
-            new_spaces.append(ComponentSpace(next_id, merged_values))
-            old_axes.append((a, b))
-            next_id += 1
-        elif k == b:
-            continue
-        else:
-            new_spaces.append(ComponentSpace(next_id, s.values))
-            old_axes.append(k)
-            next_id += 1
-    # move axis b next to axis a, then fuse the two axes
-    moved = np.moveaxis(prior.mass, b, a + 1)
-    new_shape = moved.shape[:a] + (spaces[a].size * spaces[b].size,) + moved.shape[a + 2:]
-    merged = JointPrior(new_spaces, moved.reshape(new_shape))
+    values = [s.values for s in spaces]
+    values[a] = tuple(itertools.product(values[a], values[b]))
+    del values[b]
+    merged = JointPrior([ComponentSpace(k, v) for k, v in enumerate(values)],
+                        _fuse_axes(prior.mass, a, b))
 
     def to_original(joint):
-        orig = [None] * len(spaces)
-        for axis, value in zip(old_axes, joint):
-            if axis == (a, b):
-                orig[a], orig[b] = value
-            else:
-                orig[axis] = value
+        orig = list(joint[:a]) + [joint[a][0]] + list(joint[a + 1:])
+        orig.insert(b, joint[a][1])
         return tuple(orig)
 
     return merged, to_original

@@ -9,7 +9,6 @@ and payoffs are materialized as tables over this graph.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -17,7 +16,13 @@ import numpy as np
 
 from .conditions import check_assumption2, check_substitutes
 from .decision import DecisionProblem, _Lattice, full_reveal_value
-from .environment import Belief, JointPrior, condition_on_components, merge_senders
+from .environment import (
+    Belief,
+    JointPrior,
+    _fuse_axes,
+    condition_on_components,
+    merge_senders,
+)
 from .errors import AssumptionViolated, ConditionNotVerified, UnknownComponent
 
 
@@ -227,17 +232,9 @@ def merge_environment(prior: JointPrior, dp: DecisionProblem,
                       first: int = 1, second: int = 2):
     """Environment where two senders are replaced by one holding the
     product component (for concentration comparisons)."""
-    merged_prior, to_original = merge_senders(prior, first, second)
-    old_index = {}
-    for k, space in enumerate(prior.spaces):
-        old_index[k] = {v: j for j, v in enumerate(space.values)}
+    merged_prior, _ = merge_senders(prior, first, second)
+    a, b = sorted((first, second))
     u_full = np.broadcast_to(
         dp.utility, (len(dp.actions),) + prior.mass.shape)
-    new_u = np.empty((len(dp.actions),) + merged_prior.mass.shape)
-    grids = [s.values for s in merged_prior.spaces]
-    for combo in itertools.product(*[range(len(g)) for g in grids]):
-        joint = tuple(g[v] for g, v in zip(grids, combo))
-        orig = to_original(joint)
-        idx = tuple(old_index[k][v] for k, v in enumerate(orig))
-        new_u[(slice(None),) + combo] = u_full[(slice(None),) + idx]
-    return merged_prior, DecisionProblem(dp.actions, new_u)
+    return merged_prior, DecisionProblem(dp.actions,
+                                         _fuse_axes(u_full, a + 1, b + 1))

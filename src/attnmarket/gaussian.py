@@ -19,6 +19,7 @@ import numpy as np
 
 from .decision import DecisionProblem
 from .environment import ComponentSpace, JointPrior
+from .tolerance import ROUNDING, TINY
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,7 @@ def symmetry_gap(p0: float, total_sender_precision: float, n: int, c: float,
         symmetric_payoff=sym_payoff,
         best_allocation=best_alloc,
         best_payoff=best_payoff,
-        symmetric_is_max=best_payoff <= sym_payoff + 1e-12,
+        symmetric_is_max=best_payoff <= sym_payoff + ROUNDING,
         grid_step=grid_step,
         allocations=allocations,
     )
@@ -244,7 +245,7 @@ def bridge_mc_check(p: float, c: float, samples: int = 10_000, seed: int = 0,
     empirical = sq_err.mean(axis=1)
     stderr = sq_err.std(axis=1, ddof=1) / math.sqrt(samples)
     diff = np.abs(empirical - schedule.variances)
-    z = np.where(stderr > 0, diff / np.maximum(stderr, 1e-300), diff > 0)
+    z = np.where(stderr > 0, diff / np.maximum(stderr, TINY), diff > 0)
     return BridgeCheck(
         schedule=schedule,
         samples=samples,
@@ -252,7 +253,7 @@ def bridge_mc_check(p: float, c: float, samples: int = 10_000, seed: int = 0,
         empirical=empirical,
         stderr=stderr,
         max_z=float(z.max()),
-        within=bool(np.all(diff <= 3.0 * stderr + 1e-12)),
+        within=bool(np.all(diff <= 3.0 * stderr + ROUNDING)),
     )
 
 

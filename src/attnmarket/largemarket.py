@@ -19,6 +19,7 @@ import numpy as np
 from .decision import DecisionProblem
 from .environment import ComponentSpace, JointPrior
 from .errors import BudgetExceeded, DegenerateCurve
+from .tolerance import DECAY_TOL, ROUNDING
 
 EXACT_COUNT_BUDGET = 10 ** 7
 
@@ -49,13 +50,13 @@ class IIDEnvironment:
         lik = np.asarray(likelihood, dtype=float)
         u = np.asarray(utility, dtype=float)
         m, ell = len(state_labels), len(signal_alphabet)
-        if w.shape != (m,) or np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12:
+        if w.shape != (m,) or np.any(w <= 0) or abs(w.sum() - 1.0) > ROUNDING:
             raise ValueError("state weights must be positive and sum to 1")
         if lik.shape != (m, ell):
             raise ValueError("likelihood must be states x signals")
         if np.any(lik <= 0):
             raise ValueError("likelihood entries must be strictly positive")
-        if np.any(np.abs(lik.sum(axis=1) - 1.0) > 1e-12):
+        if np.any(np.abs(lik.sum(axis=1) - 1.0) > ROUNDING):
             raise ValueError("likelihood rows must sum to 1")
         for a, b in itertools.combinations(range(m), 2):
             if np.allclose(lik[a], lik[b]):
@@ -312,6 +313,6 @@ def fit_exponential_rate(curve, tail_fraction: float = 0.5) -> ExponentialFit:
         kappa=float(np.exp(intercept)),
         rho=rho,
         r_squared=r2,
-        decaying=rho < 1.0 - 1e-9,
+        decaying=rho < 1.0 - DECAY_TOL,
         tail=tail,
     )

@@ -27,9 +27,9 @@ from .environment import Belief, Experiment, JointPrior
 from .equilibrium import EquilibriumProfile, StateGraph, aon_rates
 from .errors import NonAoNPolicy, RoundLimitExceeded
 from .presets import coin_match
+from .tolerance import ROUNDING
 
 DEFAULT_ROUND_CAP = 10 ** 6
-TIE_TOL = 1e-9
 
 
 # -- sender policies ----------------------------------------------------------
@@ -146,7 +146,7 @@ class GreedyMyopic(ReceiverPolicy):
 
     def choose(self, ctx, graph, node_id, rates):
         base = graph.stopping_value(node_id)
-        best, best_gain = 0, TIE_TOL
+        best, best_gain = 0, ROUNDING
         for i in graph.unrevealed(node_id):
             lam = rates.get(i, 0.0)
             if lam <= 0.0:
@@ -197,14 +197,14 @@ def solve_receiver_dp(dp: DecisionProblem, prior: JointPrior, cost: float,
             nxt = sum(p * sol.values[child]
                       for _, p, child in graph.transitions(node, i))
             cont = nxt - cost / lam
-            if cont > best_cont + TIE_TOL:
+            if cont > best_cont + ROUNDING:
                 best_sender, best_cont = i, cont
         value = max(stop_value, best_cont)
         sol.values[node] = value
         sol.best_sender[node] = best_sender
-        sol.stop_optimal[node] = stop_value >= best_cont - TIE_TOL
+        sol.stop_optimal[node] = stop_value >= best_cont - ROUNDING
         sol.continue_optimal[node] = (best_sender != 0
-                                      and best_cont >= stop_value - TIE_TOL)
+                                      and best_cont >= stop_value - ROUNDING)
         sol.continuation[node] = best_cont
     return graph, sol
 
@@ -273,13 +273,8 @@ class _Runner:
         self.round_cap = round_cap
         self.cdf = np.cumsum(prior.mass.ravel())
         self.shape = prior.mass.shape
-        u = dp.utility
-        self._u_index = [1 if u.shape[1 + k] > 1 else 0
-                         for k in range(len(self.shape))]
-
-    def utility_at(self, action_index, joint_index):
-        idx = tuple(j * f for j, f in zip(joint_index, self._u_index))
-        return float(self.dp.utility[(action_index,) + idx])
+        self.utility = np.broadcast_to(dp.utility,
+                                       (len(dp.actions),) + self.shape)
 
     def play(self, rng, record=False):
         flat = int(np.searchsorted(self.cdf, rng.random(), side="right"))
@@ -321,7 +316,6 @@ class _Runner:
             rounds += block
             node = child
         a_idx = int(self.graph.stop_actions[node])
-        utility = self.utility_at(a_idx, joint_index)
         return EpisodeTrace(
             state=state,
             rounds=rows if record else [],
@@ -329,7 +323,7 @@ class _Runner:
             total_rounds=rounds,
             cost=self.cost * rounds,
             action=self.dp.actions[a_idx],
-            realized_utility=utility,
+            realized_utility=float(self.utility[(a_idx,) + joint_index]),
             final_node=node,
         )
 
@@ -460,7 +454,7 @@ def holdup_demo(cost: float) -> dict:
         "second_sender_expected_visits": residual_second / cost,
         "receiver_stopping_value": stopping_value,
         "receiver_best_continuation_value": best,
-        "stopping_strictly_optimal": best < stopping_value - 1e-12,
+        "stopping_strictly_optimal": best < stopping_value - ROUNDING,
         "partial_info_belief": mu1,
         "partial_info_residual_value": partial_value,
     }

@@ -110,6 +110,20 @@ def test_malformed_prior_row_names_the_row(tmp_path, capsys):
     assert "conditionals[0] row 0" in err and "0.9" in err
 
 
+@pytest.mark.parametrize("row, total", [
+    ([0.8, 0.2000000005], "1.0000000005"),   # off by more than rounding
+    ([float("nan"), 0.5], "nan"),
+])
+def test_prior_row_off_sum_names_the_row(tmp_path, capsys, row, total):
+    def mutate(base):
+        base["prior"]["product"]["conditionals"] = [[row]]
+    code = run(["check", "--scenario", write_scenario(tmp_path, mutate)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"prior.product.conditionals[0] row 0 sums to {total}, not 1" in err
+    assert "np.float64" not in err
+
+
 def test_missing_block(tmp_path, capsys):
     def mutate(base):
         del base["decision"]
@@ -404,6 +418,16 @@ def test_sweep_symmetry(tmp_path):
     rows = check_schema(tmp_path / "symmetry.csv")
     best = [r for r in rows[1:] if r[2] == "1"]
     assert len(best) == 1 and best[0][0] == "1.0|1.0"
+
+
+def test_sweep_symmetry_flags_the_equal_split_up_to_rounding(tmp_path):
+    # 0.3 / 3 is 0.09999999999999999 in floats, the grid's entry 0.1
+    code = run(["sweep", "--sweep-kind", "symmetry", "--total-precision",
+                "0.3", "--senders", "3", "--out", str(tmp_path)])
+    assert code == 0
+    rows = check_schema(tmp_path / "symmetry.csv")
+    flagged = [r[0] for r in rows[1:] if r[3] == "1"]
+    assert flagged == ["0.1|0.1|0.1"]
 
 
 def test_sweep_bridge(tmp_path):

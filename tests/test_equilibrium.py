@@ -23,7 +23,7 @@ from attnmarket.equilibrium import (
     merge_environment,
     monopoly_rate,
 )
-from attnmarket.environment import ComponentSpace, JointPrior
+from attnmarket.environment import ComponentSpace, JointPrior, merge_senders
 from attnmarket.errors import (
     AssumptionViolated,
     ConditionNotVerified,
@@ -254,6 +254,26 @@ def test_merging_strictly_hurts_when_values_interact(three_action):
     # the merged monopolist extracts the full surplus
     root_value = merged.graph.stopping_value(merged.graph.root.id)
     assert merged.receiver_payoff == pytest.approx(root_value)
+
+
+def test_merged_environment_relabels_every_joint_state():
+    # senders 1 and 3 are not adjacent, and the utility varies on every axis
+    rng = np.random.default_rng(5)
+    sizes = (2, 2, 3, 2)
+    spaces = [ComponentSpace(k, tuple(f"{k}{v}" for v in range(size)))
+              for k, size in enumerate(sizes)]
+    prior = JointPrior(spaces, rng.dirichlet(np.ones(24)).reshape(sizes))
+    dp = DecisionProblem(("a", "b"), rng.normal(size=(2,) + sizes))
+    merged_prior, merged_dp = merge_environment(prior, dp, 3, 1)
+    _, to_original = merge_senders(prior, 3, 1)
+    grids = [s.values for s in merged_prior.spaces]
+    for joint in itertools.product(*grids):
+        new = tuple(g.index(v) for g, v in zip(grids, joint))
+        old = tuple(s.values.index(v)
+                    for s, v in zip(spaces, to_original(joint)))
+        assert merged_prior.mass[new] == pytest.approx(prior.mass[old])
+        assert (merged_dp.utility[(slice(None),) + new]
+                == dp.utility[(slice(None),) + old]).all()
 
 
 # -- the reachable graph -----------------------------------------------------------------
