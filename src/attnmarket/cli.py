@@ -113,6 +113,14 @@ def _positive(value, where):
     return out
 
 
+def _numbers(values, where) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ScenarioError(
+            f"{where} must list numbers, got {values!r}") from None
+
+
 def load_scenario(path) -> Scenario:
     try:
         with open(path) as fh:
@@ -191,8 +199,9 @@ def _parse_finite(raw):
     if "by_state" in utility:
         table = []
         for a in actions:
-            row = _need(utility["by_state"], a, "decision.utility.by_state")
-            row = np.asarray(row, dtype=float)
+            row = _numbers(_need(utility["by_state"], a,
+                                 "decision.utility.by_state"),
+                           f"decision.utility.by_state[{a!r}]")
             if row.shape != (shape[0],):
                 raise ScenarioError(
                     f"utility.by_state[{a!r}] must list one value per "
@@ -203,9 +212,9 @@ def _parse_finite(raw):
     else:
         blocks = []
         for a in actions:
-            row = np.asarray(
-                _need(utility["by_joint"], a, "decision.utility.by_joint"),
-                dtype=float).ravel()
+            row = _numbers(_need(utility["by_joint"], a,
+                                 "decision.utility.by_joint"),
+                           f"decision.utility.by_joint[{a!r}]").ravel()
             if row.size != int(np.prod(shape)):
                 raise ScenarioError(
                     f"utility.by_joint[{a!r}] has {row.size} entries, "
@@ -471,6 +480,8 @@ def cmd_simulate(args) -> int:
                  else int(sim.get("round_cap", 10 ** 6)))
     if replications < 1:
         raise ScenarioError("replications must be at least 1")
+    if seed < 0:
+        raise ScenarioError(f"simulation.seed is negative: {seed}")
     if round_cap < 1:
         raise ScenarioError("round cap must be at least 1")
 
@@ -725,8 +736,8 @@ def main(argv=None) -> int:
     if getattr(args, "pc", None) is None and getattr(args, "sweep_kind", "") == "alpha":
         args.pc = [0.4, 0.6]
     try:
-        for name in ("su_samples", "trace_episodes", "mc_samples"):
-            if getattr(args, name, 0) < 0:
+        for name in ("seed", "su_samples", "trace_episodes", "mc_samples"):
+            if (getattr(args, name, None) or 0) < 0:
                 raise ScenarioError(f"--{name.replace('_', '-')} is negative")
         code = args.func(args)
     except ScenarioError as exc:

@@ -8,17 +8,26 @@ pays to one sender before its revelation form a geometric block; episodes
 draw those blocks directly, which keeps a replication both fast and
 reproducible.
 
-Randomness discipline: one root seed; episode k uses the generator seeded
-by ``SeedSequence(root, spawn_key=(k,))``, so changing the replication
-count never reshuffles earlier episodes.  Within an episode the draw
-order is: joint state, receiver-order randomization (if any), then one
-geometric draw per consultation block.
+Randomness discipline: one root seed and one counter-based stream of
+uniforms.  Episode k reads row k, of width W = 4 * ceil((1 + 2n) / 4),
+taken from ``Philox`` keyed by ``SeedSequence(seed)`` with its counter at
+k * W / 4, so the row depends only on (seed, k) and changing the
+replication count never reshuffles earlier episodes.  Within a row,
+``u[0]`` picks the joint state from the prior's CDF, ``u[1..n]`` is the
+receiver's order context, and ``u[n + 1 + j]`` gives the j-th geometric
+block by inverse CDF, ``1 + floor(log(1 - u) / log(1 - rate))``; the
+remaining entries pad the row to whole Philox outputs.  Rows are
+generated ``ROW_BLOCK`` at a time.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
+from math import log, log1p
+from operator import getitem
 
 import numpy as np
 
@@ -30,6 +39,7 @@ from .presets import coin_match
 from .tolerance import ROUNDING
 
 DEFAULT_ROUND_CAP = 10 ** 6
+ROW_BLOCK = 1024  # episode rows generated per Philox call
 
 
 # -- sender policies ----------------------------------------------------------
@@ -89,13 +99,16 @@ def equilibrium_policies(profile: EquilibriumProfile) -> dict:
 
 
 class ReceiverPolicy:
-    def begin(self, graph: StateGraph, rng) -> object:
-        """Per-episode context (consumes episode randomness if needed)."""
+    def begin(self, graph: StateGraph, u) -> object:
+        """Per-episode context from the episode's order uniforms ``u``,
+        one per sender (unused by receivers that need no randomness)."""
         return None
 
     def choose(self, ctx, graph: StateGraph, node_id: int,
                rates: dict) -> int:
-        """Sender to consult at this state, or 0 to stop."""
+        """Sender to consult at this state, or 0 to stop.  ``rates`` maps
+        each unrevealed sender to its reveal probability here; the engine
+        builds it once per state, so it must not be modified."""
         raise NotImplementedError
 
 
@@ -106,7 +119,7 @@ class FixedOrder(ReceiverPolicy):
     def __init__(self, order=None):
         self.order = tuple(order) if order is not None else None
 
-    def begin(self, graph, rng):
+    def begin(self, graph, u):
         return self.order
 
     def choose(self, order, graph, node_id, rates):
@@ -122,14 +135,14 @@ class FixedOrder(ReceiverPolicy):
 
 
 class RandomOrder(FixedOrder):
-    """Visit senders in a fresh random order each episode."""
+    """Visit senders in a fresh random order each episode: ranked by the
+    episode's order uniforms, lowest first."""
 
     def __init__(self):
         super().__init__(None)
 
-    def begin(self, graph, rng):
-        n = graph.prior.n_senders
-        return tuple(int(i) + 1 for i in rng.permutation(n))
+    def begin(self, graph, u):
+        return tuple(sorted(range(1, len(u) + 1), key=lambda i: u[i - 1]))
 
 
 class StopAlways(ReceiverPolicy):
@@ -260,78 +273,115 @@ class EpisodeTrace:
 
 
 class _Runner:
-    """Shared episode core for traced and lean replications."""
+    """Shared episode core for traced and lean replications.  The tables a
+    walk reads are built once from the graph: each node's offers
+    ``{sender: rate}``, ``child[node][sender][value]``, each node's
+    stopping action, and per flat prior cell its CDF value and joint
+    index."""
 
     def __init__(self, dp, prior, cost, sender_policies, receiver_policy,
                  graph=None, round_cap=DEFAULT_ROUND_CAP):
-        self.dp = dp
-        self.prior = prior
+        self.actions = dp.actions
         self.cost = cost
-        self.senders = sender_policies
         self.receiver = receiver_policy
-        self.graph = graph or StateGraph(prior, dp)
+        graph = self.graph = graph or StateGraph(prior, dp)
         self.round_cap = round_cap
-        self.cdf = np.cumsum(prior.mass.ravel())
-        self.shape = prior.mass.shape
-        self.utility = np.broadcast_to(dp.utility,
-                                       (len(dp.actions),) + self.shape)
+        n = self.n = prior.n_senders
+        # u[0], n order uniforms and n blocks, in whole Philox outputs of 4
+        self.width = 4 * -(-(1 + 2 * n) // 4)
+        self.offers = [{i: sender_policies[i].rate(node)
+                        for i in graph.unrevealed(node)}
+                       for node in range(len(graph))]
+        self.child = [[None] * (n + 1) for _ in range(len(graph))]
+        for i in range(1, n + 1):
+            cells = np.repeat(graph.cells[:, None], prior.spaces[i].size, 1)
+            cells[:, :, i - 1] = np.arange(prior.spaces[i].size)
+            kids = graph.ids[tuple(np.moveaxis(cells, 2, 0))].tolist()
+            for node in np.flatnonzero(graph.cells[:, i - 1] < 0).tolist():
+                self.child[node][i] = kids[node]
+        self.stop_actions = graph.stop_actions.tolist()
+        mass = prior.mass.ravel()
+        self.cdf = np.cumsum(mass).tolist()
+        self.last = int(np.flatnonzero(mass > 0)[-1])
+        self.joint = list(zip(*(a.ravel().tolist()
+                                for a in np.indices(prior.mass.shape))))
+        self.labels = [s.values for s in prior.spaces]
+        self.utility = np.broadcast_to(
+            dp.utility, (len(dp.actions),) + prior.mass.shape)
 
-    def play(self, rng, record=False):
-        flat = int(np.searchsorted(self.cdf, rng.random(), side="right"))
-        joint_index = np.unravel_index(min(flat, len(self.cdf) - 1), self.shape)
-        state = tuple(s.values[v] for s, v in zip(self.prior.spaces, joint_index))
-        ctx = self.receiver.begin(self.graph, rng)
-        node = 0  # the root: nothing revealed
-        visits = {i: 0 for i in range(1, self.prior.n_senders + 1)}
-        rounds = 0
-        rows = [] if record else None
+    def play(self, row, record=False):
+        """One episode on one row of uniforms (see the module docstring)."""
+        n, cap = self.n, self.round_cap
+        offers_at, child = self.offers, self.child
+        # a u past the CDF's rounded top lands on the last cell with mass
+        flat = min(bisect_right(self.cdf, row[0]), self.last)
+        joint = self.joint[flat]
+        choose, graph = self.receiver.choose, self.graph
+        ctx = self.receiver.begin(graph, row[1:n + 1])
+        visits = dict.fromkeys(range(1, n + 1), 0)
+        rows = []
+        node = rounds = 0  # the root: nothing revealed
+        j = n + 1
         while True:
-            rates = {i: self.senders[i].rate(node)
-                     for i in self.graph.unrevealed(node)}
-            choice = self.receiver.choose(ctx, self.graph, node, rates)
+            offers = offers_at[node]
+            choice = choose(ctx, graph, node, offers)
             if choice == 0:
                 break
-            lam = rates[choice]
-            if lam <= 0.0:
+            lam = offers[choice]
+            if lam >= 1.0:
+                tail = 0.0
+            elif lam > 0.0:
+                tail = log(1.0 - row[j]) / log1p(-lam)
+            else:
                 raise RoundLimitExceeded(
                     f"receiver consults sender {choice} forever at state "
                     f"{node} (reveal probability 0)")
-            block = int(rng.geometric(lam))
-            if rounds + block > self.round_cap:
+            # the block is 1 + floor(tail); compared as a float, so an
+            # infinite tail raises here too
+            if rounds + tail >= cap:
                 raise RoundLimitExceeded(
-                    f"episode exceeded the round cap {self.round_cap}")
-            value_index = joint_index[choice]
-            cell = self.graph.cells[node].copy()
-            cell[choice - 1] = value_index
-            child = int(self.graph.ids[tuple(cell)])
+                    f"episode exceeded the round cap {cap}")
+            block = 1 + int(tail)
+            j += 1
+            value = joint[choice]
+            nxt = child[node][choice][value]
             if record:
-                offers = tuple(sorted(rates.items()))
-                for k in range(block - 1):
-                    rows.append(RoundRecord(rounds + k, offers, choice,
-                                            None, node))
-                rows.append(RoundRecord(rounds + block - 1, offers, choice,
-                                        self.prior.spaces[choice].values[value_index],
-                                        child))
+                offer_row = tuple(sorted(offers.items()))
+                rows.extend(RoundRecord(r, offer_row, choice, None, node)
+                            for r in range(rounds, rounds + block - 1))
+                rows.append(RoundRecord(rounds + block - 1, offer_row, choice,
+                                        self.labels[choice][value], nxt))
             visits[choice] += block
             rounds += block
-            node = child
-        a_idx = int(self.graph.stop_actions[node])
+            node = nxt
+        a_idx = self.stop_actions[node]
         return EpisodeTrace(
-            state=state,
-            rounds=rows if record else [],
+            state=tuple(map(getitem, self.labels, joint)),
+            rounds=rows,
             visits=visits,
             total_rounds=rounds,
             cost=self.cost * rounds,
-            action=self.dp.actions[a_idx],
-            realized_utility=float(self.utility[(a_idx,) + joint_index]),
+            action=self.actions[a_idx],
+            realized_utility=self.utility.item((a_idx,) + joint),
             final_node=node,
         )
 
 
-def episode_rng(seed: int, episode: int) -> np.random.Generator:
-    """Counter-split generator for one episode."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(episode,)))
+@lru_cache(maxsize=1)
+def _row_block(seed: int, width: int, block: int) -> np.ndarray:
+    """Rows ``block * ROW_BLOCK`` onward.  Row k starts at Philox counter
+    k * width / 4 whichever block holds it."""
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    bits = np.random.Philox(key=key,
+                            counter=[block * ROW_BLOCK * width // 4, 0, 0, 0])
+    return np.random.Generator(bits).random((ROW_BLOCK, width))
+
+
+def episode_rng(seed: int, episode: int, width: int) -> list:
+    """Row ``episode`` of the seed's counter-based stream: ``width``
+    uniforms in [0, 1) that depend only on (seed, episode, width)."""
+    block, at = divmod(episode, ROW_BLOCK)
+    return _row_block(seed, width, block)[at].tolist()
 
 
 def run_episode(dp, prior, cost, sender_policies, receiver_policy, seed,
@@ -340,7 +390,7 @@ def run_episode(dp, prior, cost, sender_policies, receiver_policy, seed,
     """Simulate one episode with a full per-round trace."""
     runner = _Runner(dp, prior, cost, sender_policies, receiver_policy,
                      graph=graph, round_cap=round_cap)
-    return runner.play(episode_rng(seed, episode), record=True)
+    return runner.play(episode_rng(seed, episode, runner.width), record=True)
 
 
 @dataclass
@@ -374,21 +424,20 @@ def _replicate(dp, prior, cost, sender_policies, receiver_policy,
                replications, seed, round_cap=DEFAULT_ROUND_CAP, graph=None,
                traced=0, each=None) -> MonteCarloSummary:
     """The replication loop behind ``monte_carlo`` and the ``simulate``
-    command: episode k plays on ``episode_rng(seed, k)``, the first
-    ``traced`` episodes keep their per-round records, and ``each(k, trace)``
-    sees every episode."""
+    command: episode k plays on row k of the seed's stream
+    (``episode_rng``), the first ``traced`` episodes keep their per-round
+    records, and ``each(k, trace)`` sees every episode."""
     if replications < 1:
         raise ValueError("need at least one replication")
     runner = _Runner(dp, prior, cost, sender_policies, receiver_policy,
                      graph=graph, round_cap=round_cap)
-    n = prior.n_senders
+    n, width, play = prior.n_senders, runner.width, runner.play
     visits = np.empty((replications, n))
     payoffs = np.empty(replications)
     stopping = Counter()
     for k in range(replications):
-        trace = runner.play(episode_rng(seed, k), record=k < traced)
-        for i in range(1, n + 1):
-            visits[k, i - 1] = trace.visits[i]
+        trace = play(episode_rng(seed, k, width), k < traced)
+        visits[k] = tuple(trace.visits.values())
         payoffs[k] = trace.payoff
         stopping[trace.total_rounds] += 1
         if each is not None:

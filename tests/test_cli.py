@@ -8,7 +8,12 @@ import yaml
 from attnmarket import cli
 from attnmarket.cli import load_scenario, main
 from attnmarket.equilibrium import aon_rates
-from attnmarket.simulate import RandomOrder, equilibrium_policies, monte_carlo
+from attnmarket.simulate import (
+    RandomOrder,
+    equilibrium_policies,
+    monte_carlo,
+    run_episode,
+)
 
 SCHEMAS = {
     "profile.csv": ["state_id", "revealed_set", "realization", "sender", "rate"],
@@ -193,6 +198,10 @@ def test_check_sender_limit_runs_before_the_other_checks(tmp_path, capsys,
     ["check", "--scenario", "pair_guess.yaml", "--su-samples", "-3"],
     ["simulate", "--scenario", "pair_guess.yaml", "--trace-episodes", "-1"],
     ["sweep", "--sweep-kind", "bridge", "--mc-samples", "-1"],
+    ["check", "--scenario", "pair_guess.yaml", "--seed", "-1"],
+    ["solve", "--scenario", "pair_guess.yaml", "--seed", "-1"],
+    ["simulate", "--scenario", "pair_guess.yaml", "--seed", "-1"],
+    ["sweep", "--sweep-kind", "bridge", "--mc-samples", "10", "--seed", "-1"],
 ])
 def test_rejects_negative_counts(scenario_dir, tmp_path, capsys, argv):
     argv = [str(scenario_dir / a) if a.endswith(".yaml") else a for a in argv]
@@ -200,6 +209,30 @@ def test_rejects_negative_counts(scenario_dir, tmp_path, capsys, argv):
     assert run(argv + ["--out", str(out)]) == 1
     assert argv[-2] in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_rejects_negative_scenario_seed(tmp_path, capsys):
+    def mutate(base):
+        base["simulation"] = {"seed": -1}
+    out = tmp_path / "out"
+    assert run(["simulate", "--scenario", write_scenario(tmp_path, mutate),
+                "--out", str(out)]) == 1
+    assert "simulation.seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("block, row", [
+    ("by_joint", ["two", 1.0]),
+    ("by_state", ["two"]),
+])
+def test_non_numeric_utility_names_the_field(tmp_path, capsys, block, row):
+    def mutate(base):
+        base["decision"]["utility"] = {block: {"a": row}}
+    code = run(["check", "--scenario", write_scenario(tmp_path, mutate)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:")
+    assert f"decision.utility.{block}['a']" in err
 
 
 # -- solve ------------------------------------------------------------------------
@@ -330,6 +363,45 @@ def test_simulate_summary_is_library_monte_carlo(scenario_dir, tmp_path,
             assert rows[quantity]["stderr"] == "0.0"
         else:
             assert float(rows[quantity]["stderr"]) == se
+
+
+def test_run_episode_replays_simulate_rows(scenario_dir, tmp_path):
+    """Episode k of `simulate` is `run_episode(..., episode=k)`, on both
+    sides of a block of generated rows."""
+    path = scenario_dir / "pair_guess.yaml"
+    assert run(["simulate", "--scenario", str(path), "--replications", "1501",
+                "--seed", "4", "--receiver-order", "random",
+                "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "episodes.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    scenario = load_scenario(path)
+    profile = aon_rates(scenario.dp, scenario.prior, scenario.cost)
+    for k in (0, 1023, 1024, 1500):
+        trace = run_episode(scenario.dp, scenario.prior, scenario.cost,
+                            equilibrium_policies(profile), RandomOrder(),
+                            seed=4, episode=k, graph=profile.graph)
+        row = rows[k]
+        assert int(row["episode"]) == k
+        assert int(row["rounds"]) == trace.total_rounds
+        assert [int(row[f"visits_{i}"]) for i in (1, 2)] == \
+            [trace.visits[1], trace.visits[2]]
+        assert row["action"] == trace.action
+        assert float(row["payoff"]) == trace.payoff
+
+
+def test_simulate_prefix_crosses_row_blocks(scenario_dir, tmp_path):
+    """The first 1,000 episodes of a 2,100-episode run, which generates
+    three blocks of rows, are the 1,000-episode run."""
+    files = []
+    for replications in (1000, 2100):
+        out = tmp_path / str(replications)
+        assert run(["simulate", "--scenario",
+                    str(scenario_dir / "pair_guess.yaml"), "--replications",
+                    str(replications), "--seed", "6", "--receiver-order",
+                    "random", "--out", str(out)]) == 0
+        files.append((out / "episodes.csv").read_text().splitlines())
+    assert len(files[1]) == 2101
+    assert files[0] == files[1][:1001]
 
 
 def test_simulate_gated(scenario_dir, tmp_path):

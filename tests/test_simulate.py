@@ -6,6 +6,7 @@ from attnmarket.environment import Experiment
 from attnmarket.equilibrium import aon_rates
 from attnmarket.errors import NonAoNPolicy, RoundLimitExceeded
 from attnmarket.simulate import (
+    DEFAULT_ROUND_CAP,
     AoNTablePolicy,
     DpOptimal,
     FixedOrder,
@@ -135,6 +136,43 @@ def test_round_cap_exceeded(pair):
     with pytest.raises(RoundLimitExceeded):
         run_episode(dp, prior, 0.1, slow, FixedOrder(), seed=0,
                     round_cap=100)
+
+
+@pytest.mark.parametrize("rate", [1.0, 3.0])
+def test_certain_revelation_takes_one_round(pair, rate):
+    prior, dp, profile = pair
+    policies = {i: AoNTablePolicy.from_table(i, {node: rate for node in
+                                                range(len(profile.graph))})
+                for i in (1, 2)}
+    summary = monte_carlo(dp, prior, 0.1, policies, RandomOrder(), 2_000,
+                          seed=8)
+    assert summary.stopping_times == {2: 2_000}
+    assert summary.mean_visits == {1: 1.0, 2: 1.0}
+
+
+def test_round_cap_is_exact(pair):
+    prior, dp, profile = pair
+    certain = {i: AoNTablePolicy.fixed(i, 1.0) for i in (1, 2)}
+    trace = run_episode(dp, prior, 0.1, certain, FixedOrder(), seed=0,
+                        round_cap=2)
+    assert trace.total_rounds == 2
+    with pytest.raises(RoundLimitExceeded, match="round cap 1"):
+        run_episode(dp, prior, 0.1, certain, FixedOrder(), seed=0,
+                    round_cap=1)
+
+
+@pytest.mark.parametrize("rate", [1e-300, 5e-324])
+def test_tiny_rate_hits_the_round_cap(pair, rate):
+    # blocks far beyond the cap (an infinite inverse CDF for the smallest
+    # float) raise at the cap instead of overflowing
+    prior, dp, profile = pair
+    slow = {1: AoNTablePolicy.fixed(1, rate),
+            2: AoNTablePolicy.equilibrium(profile, 2)}
+    for episode in range(5):
+        with pytest.raises(RoundLimitExceeded,
+                           match=f"round cap {DEFAULT_ROUND_CAP}"):
+            run_episode(dp, prior, 0.1, slow, FixedOrder(), seed=0,
+                        episode=episode)
 
 
 def test_policy_experiments_are_valid(pair):
