@@ -113,6 +113,19 @@ def _positive(value, where):
     return out
 
 
+def _integer(value, where) -> int:
+    """A whole number; anything else raises ``ScenarioError`` naming the
+    field."""
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if (out is None or isinstance(value, bool)
+            or (isinstance(value, float) and out != value)):
+        raise ScenarioError(f"{where} must be an integer, got {value!r}")
+    return out
+
+
 def _numbers(values, where) -> np.ndarray:
     try:
         return np.asarray(values, dtype=float)
@@ -121,14 +134,22 @@ def _numbers(values, where) -> np.ndarray:
             f"{where} must list numbers, got {values!r}") from None
 
 
-def load_scenario(path) -> Scenario:
+def _read_yaml(path):
+    """The parsed file, by libyaml's parser where PyYAML was built with it
+    and by the pure-Python one otherwise: both build the same values
+    through the same constructor and resolver."""
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            return yaml.load(fh, Loader=loader)
     except FileNotFoundError:
         raise ScenarioError(f"scenario file not found: {path}") from None
     except yaml.YAMLError as exc:
         raise ScenarioError(f"invalid YAML in {path}: {exc}") from None
+
+
+def load_scenario(path) -> Scenario:
+    raw = _read_yaml(path)
     if not isinstance(raw, dict):
         raise ScenarioError("scenario file must be a mapping")
     version = raw.get("schema_version")
@@ -473,11 +494,14 @@ def cmd_simulate(args) -> int:
         raise ScenarioError("'simulate' needs a finite environment block")
     sim = scenario.simulation
     replications = (args.replications if args.replications is not None
-                    else int(sim.get("replications", 10_000)))
-    seed = args.seed if args.seed is not None else int(sim.get("seed", 0))
+                    else _integer(sim.get("replications", 10_000),
+                                  "simulation.replications"))
+    seed = (args.seed if args.seed is not None
+            else _integer(sim.get("seed", 0), "simulation.seed"))
     order = args.receiver_order or str(sim.get("receiver_order", "lowest"))
     round_cap = (args.round_cap if args.round_cap is not None
-                 else int(sim.get("round_cap", 10 ** 6)))
+                 else _integer(sim.get("round_cap", 10 ** 6),
+                               "simulation.round_cap"))
     if replications < 1:
         raise ScenarioError("replications must be at least 1")
     if seed < 0:

@@ -5,6 +5,13 @@ The substitutes inequality quantifies over a continuum of beliefs; we
 verify it exactly at every exact-revelation belief (the ones traversed by
 equilibrium play) and probe off-path robustness at seeded random garbled
 beliefs.  Both layers are reported separately in the witness list.
+
+A garbled belief is the prior times one likelihood vector per garbling of
+a competitor's component.  Its expected utilities per action and sender
+values are therefore the prior lattice's times the product of those
+likelihoods, and a sample is scored where nothing is revealed, from that
+reweighted array by ``decision._root_values``: no lattice is built per
+sample.  Each sample is first certified by ``no_direct_info``.
 """
 
 from __future__ import annotations
@@ -14,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decision import DecisionProblem, _Lattice, _revealed_values
-from .environment import Belief, Experiment, JointPrior, no_direct_info, update
+from .decision import DecisionProblem, _Lattice, _revealed_values, _root_values
+from .environment import Belief, Experiment, JointPrior, no_direct_info
 from .errors import AttnMarketError, SubsetSpaceTooLarge
 from .tolerance import SLACK_TOL
 
@@ -76,37 +83,42 @@ def check_assumption2(dp: DecisionProblem, prior: JointPrior,
     return report
 
 
-def _garbled_belief(prior: JointPrior, sender: int, rng) -> Belief | None:
-    """A random belief formed by composed binary-channel garblings of
-    components other than the given sender."""
+def _garbled_weight(prior: JointPrior, start: np.ndarray, sender: int,
+                    others: list, rng) -> np.ndarray:
+    """The likelihood product, over the sender axes, of a random belief
+    formed from the prior's belief mass ``start`` by composed binary-channel
+    garblings of the ``others`` components, certified to carry no direct
+    information from ``sender``."""
     n = prior.n_senders
-    others = [j for j in range(1, n + 1) if j != sender
-              and prior.spaces[j].size > 1]
-    if not others:
-        return None
-    belief = prior.belief()
+    mass, weight = start, np.ones(prior.shape[1:])
     for _ in range(rng.integers(1, 4)):
         j = int(rng.choice(others))
         space = prior.spaces[j]
         split = int(rng.integers(1, space.size))
-        one_values = set(rng.choice(space.size, size=split, replace=False))
-        exp = Experiment.binary_channel(
-            space, {space.values[v] for v in one_values},
-            flip_prob=float(rng.uniform(0.05, 0.45)),
-        )
-        dist = belief.marginal(j) @ exp.kernel
-        message = exp.messages[int(rng.choice(2, p=dist / dist.sum()))]
-        belief = update(belief, exp, message)
-    return belief
+        one_values = {space.values[v] for v in
+                      rng.choice(space.size, size=split, replace=False)}
+        kernel = Experiment.binary_channel(
+            space, one_values, flip_prob=float(rng.uniform(0.05, 0.45))).kernel
+        dist = mass.sum(axis=tuple(k for k in range(n + 1) if k != j)) @ kernel
+        lik = kernel[:, int(rng.choice(2, p=dist / dist.sum()))]
+        lik = lik.reshape((-1,) + (1,) * (n - j))
+        weight = weight * lik
+        # normalized twice, as `update` and then `Belief` do, so that later
+        # draws see the marginals that a chain of `update` calls gives
+        mass = mass * lik
+        mass = mass / mass.sum()
+        mass = mass / mass.sum()
+    if not no_direct_info(Belief(prior.spaces, mass), prior, sender):
+        raise AttnMarketError(f"garbled belief for sender {sender} carries "
+                              "direct information from her own component")
+    return weight
 
 
 def _score_substitutes(report: ConditionReport, sender: int, layer: str,
-                       lattice: _Lattice, at: tuple, revealed):
+                       gain, residual, mass, revealed):
     """Score value now (G_i / P) against expected residual value (H_i / P)
-    at the lattice nodes ``at``; ``revealed(k)`` labels the k-th node."""
-    mass = lattice.mass[at]
-    lhs = lattice.gain(sender)[at] / mass
-    rhs = lattice.residual(sender)[at] / mass
+    at one or more nodes; ``revealed(k)`` labels the k-th node."""
+    lhs, rhs = np.atleast_1d(gain / mass, residual / mass)
     slack = lhs - rhs
     slack[(-SLACK_TOL <= slack) & (slack < 0.0)] = 0.0  # equality up to rounding
     report.checked += slack.size
@@ -139,21 +151,24 @@ def check_substitutes(dp: DecisionProblem, prior: JointPrior,
     rng = np.random.default_rng(seed)
     lattice = _Lattice(dp, prior.mass)
     cells = lattice.nodes()
-    root = tuple(np.full((prior.n_senders, 1), -1))   # as a one-node index
-    for i in range(1, prior.n_senders + 1):
+    # the prior's per-value entries, which a garbled belief reweights
+    n = prior.n_senders
+    values = (slice(None),) + (slice(-1),) * n
+    eu, mass = lattice.eu[values], lattice.mass[values[1:]]
+    start = prior.belief().mass
+    for i in range(1, n + 1):
         rows = cells[cells[:, i - 1] < 0]
-        _score_substitutes(report, i, "revealed", lattice, tuple(rows.T),
+        at = tuple(rows.T)
+        _score_substitutes(report, i, "revealed", lattice.gain(i)[at],
+                           lattice.residual(i)[at], lattice.mass[at],
                            lambda k: _revealed_values(prior, rows[k]))
-        for _ in range(samples):
-            belief = _garbled_belief(prior, i, rng)
-            if belief is None:
-                continue
-            if not no_direct_info(belief, prior, i):
-                raise AttnMarketError(
-                    f"garbled belief for sender {i} carries direct "
-                    "information from her own component")
+        others = [j for j in range(1, n + 1)
+                  if j != i and prior.spaces[j].size > 1]
+        for _ in range(samples if others else 0):
+            weight = _garbled_weight(prior, start, i, others, rng)
             _score_substitutes(report, i, "garbled",
-                               _Lattice(dp, belief.mass), root, lambda k: None)
+                               *_root_values(eu * weight, i),
+                               (mass * weight).sum(), lambda k: None)
     return report
 
 

@@ -215,6 +215,29 @@ class _Lattice:
         return self._residuals[sender]
 
 
+def _root_values(eu: np.ndarray, sender: int) -> tuple:
+    """G_i and H_i where no sender is revealed, as ``_Lattice.gain`` and
+    ``_Lattice.residual`` give them there, from the per-value expected
+    utilities times P (actions x k_1 x ... x k_n) without a lattice.  Its
+    sums run one axis at a time, in increasing order, on the memory layout
+    of ``eu`` (which ``_star``'s concatenations keep), as the lattice's do:
+    the terms are the lattice's bit for bit, each >= 0, so G_i and H_i are
+    exactly 0 where the lattice's are."""
+    n = eu.ndim - 1
+    if not 1 <= sender <= n:
+        raise UnknownComponent(f"sender index {sender} out of range")
+    # G_i: her values against the best action before any is seen
+    own = eu
+    for ax in (k for k in range(1, n + 1) if k != sender):
+        own = own.sum(axis=ax, keepdims=True)
+    own = own.reshape(len(own), -1)
+    gain = (own.max(axis=0) - own[own.sum(axis=1).argmax()]).sum()
+    # H_i: G_i at each completion w_{-i} of the others, summed
+    best = eu.sum(axis=sender, keepdims=True).argmax(axis=0)[None]
+    stay = np.take_along_axis(eu, best, axis=0)[0]
+    return gain, (eu.max(axis=0) - stay).sum()
+
+
 def _revealed_values(prior: JointPrior, cell) -> dict:
     """Value labels of the senders that a lattice node reveals."""
     return {j: prior.spaces[j].values[v] for j, v in enumerate(cell, 1)
@@ -223,8 +246,8 @@ def _revealed_values(prior: JointPrior, cell) -> dict:
 
 def full_reveal_value(dp: DecisionProblem, belief: Belief, sender: int) -> float:
     """Value of learning one sender's component exactly at this belief."""
-    root = (-1,) * belief.n_senders
-    return float(_Lattice(dp, belief.mass).gain(sender)[root])
+    eu = _expected_utilities(dp, belief.mass, per_sender_values=True)
+    return float(_root_values(eu, sender)[0])
 
 
 def full_reveal_value_given(dp: DecisionProblem, prior: JointPrior,
@@ -256,5 +279,5 @@ def coalition_value(dp: DecisionProblem, prior: JointPrior, subset) -> float:
 def expected_residual_value(dp: DecisionProblem, source, sender: int) -> float:
     """E over the other senders' components of the residual value of this
     sender's component:  E_{w_{-i}}[ vbar(w_i | w_{-i}) ]."""
-    root = (-1,) * (source.mass.ndim - 1)
-    return float(_Lattice(dp, source.mass).residual(sender)[root])
+    eu = _expected_utilities(dp, source.mass, per_sender_values=True)
+    return float(_root_values(eu, sender)[1])

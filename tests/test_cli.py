@@ -221,6 +221,53 @@ def test_rejects_negative_scenario_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field", ["replications", "seed", "round_cap"])
+@pytest.mark.parametrize("value", ["abc", 2.5, [3]])
+def test_non_integer_simulation_field_names_the_field(tmp_path, capsys,
+                                                      field, value):
+    def mutate(base):
+        base["simulation"] = {field: value}
+    out = tmp_path / "out"
+    assert run(["simulate", "--scenario", write_scenario(tmp_path, mutate),
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:")
+    assert f"simulation.{field} must be an integer" in err
+    assert not out.exists()
+
+
+@pytest.fixture(params=["libyaml", "python"])
+def yaml_loader(request, monkeypatch):
+    """Scenario files parsed by libyaml, or by the pure-Python fallback
+    with ``yaml.CSafeLoader`` taken away."""
+    if request.param == "python":
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    elif not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML built without libyaml")
+    return request.param
+
+
+def test_malformed_yaml_names_path_and_line(tmp_path, yaml_loader):
+    path = tmp_path / "scenario.yaml"
+    path.write_text("schema_version: 1\nname: bad\ncost: [0.1, 0.2\n"
+                    "components: {}\n")
+    with pytest.raises(cli.ScenarioError) as info:
+        load_scenario(path)
+    message = str(info.value)
+    assert message.startswith(f"invalid YAML in {path}:")
+    assert "line 3" in message
+
+
+def test_both_yaml_loaders_parse_scenarios_alike(scenario_dir, monkeypatch):
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML built without libyaml")
+    paths = sorted(scenario_dir.glob("*.yaml"))
+    assert len(paths) == 6
+    fast = [cli._read_yaml(p) for p in paths]
+    monkeypatch.delattr(yaml, "CSafeLoader")
+    assert [cli._read_yaml(p) for p in paths] == fast
+
+
 @pytest.mark.parametrize("block, row", [
     ("by_joint", ["two", 1.0]),
     ("by_state", ["two"]),

@@ -171,3 +171,85 @@ def test_substitutes_sampling_skips_degenerate_components():
                          .reshape(2, 1, 2, 1))
     report = check_substitutes(dp, prior, samples=8, seed=5)
     assert report.holds
+
+
+# -- garbled layer against one lattice per sample -----------------------------------
+
+def _per_sample_lattice_report(dp, prior, samples, seed):
+    """`check_substitutes` scoring each garbled belief on its own full
+    lattice, the belief built by `update` one garbling at a time from the
+    same draws: the judge of the root-kernel scoring."""
+    import numpy as np
+    from attnmarket.conditions import ConditionReport, _score_substitutes
+    from attnmarket.decision import _Lattice, _revealed_values
+    from attnmarket.environment import Experiment, update
+    report = ConditionReport("substitutes", holds=True, margin=np.inf)
+    rng = np.random.default_rng(seed)
+    lattice = _Lattice(dp, prior.mass)
+    cells = lattice.nodes()
+    n = prior.n_senders
+    root = tuple(np.full((n, 1), -1))
+    for i in range(1, n + 1):
+        rows = cells[cells[:, i - 1] < 0]
+        at = tuple(rows.T)
+        _score_substitutes(report, i, "revealed", lattice.gain(i)[at],
+                           lattice.residual(i)[at], lattice.mass[at],
+                           lambda k: _revealed_values(prior, rows[k]))
+        others = [j for j in range(1, n + 1) if j != i
+                  and prior.spaces[j].size > 1]
+        for _ in range(samples if others else 0):
+            belief = prior.belief()
+            for _ in range(rng.integers(1, 4)):
+                j = int(rng.choice(others))
+                space = prior.spaces[j]
+                split = int(rng.integers(1, space.size))
+                one = set(rng.choice(space.size, size=split, replace=False))
+                exp = Experiment.binary_channel(
+                    space, {space.values[v] for v in one},
+                    flip_prob=float(rng.uniform(0.05, 0.45)))
+                dist = belief.marginal(j) @ exp.kernel
+                message = exp.messages[int(rng.choice(2, p=dist / dist.sum()))]
+                belief = update(belief, exp, message)
+            sample = _Lattice(dp, belief.mass)
+            _score_substitutes(report, i, "garbled", sample.gain(i)[root],
+                               sample.residual(i)[root], sample.mass[root],
+                               lambda k: None)
+    return report
+
+
+def _random_three_sender_problem(seed):
+    import numpy as np
+    from attnmarket.decision import DecisionProblem
+    from attnmarket.environment import ComponentSpace, JointPrior
+    rng = np.random.default_rng(seed)
+    sizes = (2, 2, 3, 2)
+    spaces = tuple(ComponentSpace(k, tuple(f"v{j}" for j in range(s)))
+                   for k, s in enumerate(sizes))
+    mass = rng.random(sizes) * (rng.random(sizes) > 0.2)
+    dp = DecisionProblem(("a0", "a1", "a2"),
+                         rng.uniform(-1.0, 1.0, (3,) + sizes))
+    return JointPrior(spaces, mass / mass.sum()), dp
+
+
+@pytest.mark.parametrize("problem", ["coin_match", "three_action_signals",
+                                     "random"])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_garbled_layer_matches_a_lattice_per_sample(scenario_dir, problem,
+                                                    seed):
+    from attnmarket.cli import load_scenario
+    if problem == "random":
+        prior, dp = _random_three_sender_problem(seed)
+    else:
+        scenario = load_scenario(scenario_dir / f"{problem}.yaml")
+        prior, dp = scenario.prior, scenario.dp
+    got = check_substitutes(dp, prior, samples=20, seed=seed)
+    want = _per_sample_lattice_report(dp, prior, samples=20, seed=seed)
+    assert got.checked == want.checked
+    assert got.holds == want.holds
+    assert ([(w["sender"], w["layer"]) for w in got.witnesses]
+            == [(w["sender"], w["layer"]) for w in want.witnesses])
+    assert got.margin == pytest.approx(want.margin, rel=1e-12, abs=1e-12)
+    for g, w in zip(got.witnesses, want.witnesses):
+        assert g["revealed"] == w["revealed"]
+        for key in ("value_now", "expected_residual_value"):
+            assert g[key] == pytest.approx(w[key], rel=1e-12, abs=1e-12)

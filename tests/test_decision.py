@@ -9,6 +9,9 @@ import oracle
 from attnmarket.decision import (
     DecisionProblem,
     ValueReport,
+    _expected_utilities,
+    _Lattice,
+    _root_values,
     coalition_value,
     expected_conditioned_value,
     expected_residual_value,
@@ -294,3 +297,56 @@ def test_experiment_value_nonnegative_and_bounded(problem):
     report = stopping_utility(dp, belief)
     assert value >= -1e-10
     assert value <= report.full_info_value - report.stopping_value + 1e-10
+
+
+# -- the root kernel against the lattice ---------------------------------------------
+
+@st.composite
+def lattice_problems(draw):
+    """Random 1-4 sender environments: zero-mass cells, and utility tables
+    whose axes may be size 1 (broadcast)."""
+    n_senders = draw(st.integers(1, 4))
+    sizes = [draw(st.integers(1, 2))] + [draw(st.integers(1, 3))
+                                         for _ in range(n_senders)]
+    total = int(np.prod(sizes))
+    weights = draw(st.lists(st.integers(0, 5), min_size=total,
+                            max_size=total).filter(any))
+    mass = np.asarray(weights, dtype=float).reshape(sizes)
+    n_actions = draw(st.integers(1, 3))
+    shape = [n_actions] + [s if draw(st.booleans()) else 1 for s in sizes]
+    table = draw(st.lists(st.floats(-2.0, 2.0, allow_nan=False, width=32),
+                          min_size=int(np.prod(shape)),
+                          max_size=int(np.prod(shape))))
+    dp = DecisionProblem(tuple(f"a{j}" for j in range(n_actions)),
+                         np.asarray(table).reshape(shape))
+    return dp, mass / mass.sum()
+
+
+def _exact_tie_problem():
+    """Two actions that tie exactly at values of sender 2 but round apart
+    when the other senders are summed in another order than the
+    lattice's: its G_2 at the root is 0, and 1.1e-16 in that other order."""
+    dp = DecisionProblem(("a0", "a1", "a2"),
+                         np.array([[0.0, 1.25, 1.0], [0.0, 0.0, 0.0],
+                                   [1.0, 1.25, 0.0]]).reshape(3, 1, 1, 1, 3))
+    mass = np.array([[[0, 0, 0], [2, 4, 0]], [[0, 0, 0], [0, 0, 0]],
+                     [[0, 0, 5], [2, 2, 4]]], dtype=float)[None]
+    return dp, mass / mass.sum()
+
+
+@settings(max_examples=80, deadline=None)
+@given(lattice_problems())
+@example(_exact_tie_problem())
+def test_root_kernel_matches_lattice(problem):
+    dp, mass = problem
+    n = mass.ndim - 1
+    lattice = _Lattice(dp, mass)
+    eu = _expected_utilities(dp, mass, per_sender_values=True)
+    root = (-1,) * n
+    for i in range(1, n + 1):
+        gain, residual = _root_values(eu, i)
+        for got, want in ((gain, lattice.gain(i)[root]),
+                          (residual, lattice.residual(i)[root])):
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+            if want == 0.0:
+                assert got == 0.0
