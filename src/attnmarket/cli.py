@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 import time
 from dataclasses import dataclass, field
+from json.encoder import INFINITY, encode_basestring_ascii as _json_str
 
 import numpy as np
 import yaml
@@ -62,21 +62,93 @@ EXIT_CONDITION = 2
 EXIT_RUNTIME = 3
 
 
-def fmt(x) -> str:
-    """Shortest round-trip decimal for floats; plain str otherwise."""
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return str(x)
-
-
 def write_csv(path, header, rows):
+    """Rows of Python ``str``, ``int`` and ``float`` values; the csv module
+    writes a float as its shortest round-trip decimal (``repr``)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
+        writer.writerows(rows)
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == INFINITY:
+        return "Infinity"
+    if x == -INFINITY:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: converted to a string, then quoted."""
+    if isinstance(key, str):
+        return _json_str(key)
+    if isinstance(key, float):
+        return '"' + _json_float(key) + '"'
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return '"' + int.__repr__(key) + '"'
+    raise TypeError("keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def write_json(fh, obj):
+    """Write ``obj`` as ``json.dump(obj, fh, indent=2, sort_keys=True)``
+    does, then a newline, piece by piece: the same bytes without the
+    pure-Python encoder that ``indent`` selects, and without the document
+    in memory.  Dict keys are sorted before they become strings, so int
+    keys sort numerically; a value json cannot encode raises ``TypeError``.
+    """
+    write = fh.write
+
+    def emit(o, pad):
+        if isinstance(o, str):
+            write(_json_str(o))
+        elif o is None:
+            write("null")
+        elif o is True:
+            write("true")
+        elif o is False:
+            write("false")
+        elif isinstance(o, int):
+            write(int.__repr__(o))
+        elif isinstance(o, float):
+            write(_json_float(o))
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                write("[]")
+                return
+            inner = pad + "  "
+            sep = "[" + inner
+            for item in o:
+                write(sep)
+                emit(item, inner)
+                sep = "," + inner
+            write(pad + "]")
+        elif isinstance(o, dict):
+            if not o:
+                write("{}")
+                return
+            inner = pad + "  "
+            sep = "{" + inner
+            for key, value in sorted(o.items()):
+                write(sep + _json_key(key) + ": ")
+                emit(value, inner)
+                sep = "," + inner
+            write(pad + "}")
+        else:
+            raise TypeError(f"Object of type {o.__class__.__name__} "
+                            "is not JSON serializable")
+
+    emit(obj, "\n")
+    write("\n")
 
 
 # -- scenario files -------------------------------------------------------------
@@ -331,8 +403,7 @@ class RunReport:
     def write(self, out_dir):
         path = os.path.join(out_dir, "report.json")
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            write_json(fh, self.to_dict())
         self.files.append(path)
         return path
 
@@ -427,8 +498,8 @@ def _solve_gaussian(scenario, args, out):
     files = []
     path = os.path.join(out, "gaussian_rates.csv")
     write_csv(path, ["sender", "precision", "rate", "expected_visits"],
-              [(i + 1, s.p[i], rates[i], 1.0 / rates[i])
-               for i in range(len(s.p))])
+              [(i + 1, p, rate, 1.0 / rate)
+               for i, (p, rate) in enumerate(zip(s.p, rates.tolist()))])
     files.append(path)
     path = os.path.join(out, "gaussian_payoffs.csv")
     write_csv(path, ["quantity", "value"], [
@@ -448,7 +519,7 @@ def _solve_gaussian(scenario, args, out):
                    "payoff_correlated", "prefers_correlation"],
                   [(cs.pc, threshold, payoff_at_alpha(cs, 0),
                     payoff_at_alpha(cs, 1),
-                    payoff_at_alpha(cs, 1) > payoff_at_alpha(cs, 0))])
+                    int(payoff_at_alpha(cs, 1) > payoff_at_alpha(cs, 0)))])
         files.append(path)
         summary["correlation_threshold"] = threshold
     return {}, summary, files
@@ -527,7 +598,7 @@ def cmd_simulate(args) -> int:
             (k, trace.total_rounds, trace.cost, trace.action, trace.payoff)
             + tuple(trace.visits[i] for i in range(1, n + 1)))
         for rec in trace.rounds:
-            offers = "|".join(f"{i}={fmt(r)}" for i, r in rec.offers)
+            offers = "|".join(f"{i}={float(r)!r}" for i, r in rec.offers)
             trace_rows.append((k, rec.round, offers, rec.choice,
                                "" if rec.message is None else rec.message,
                                rec.node_id))
@@ -628,7 +699,7 @@ def cmd_sweep(args) -> int:
             p0_payoff = payoff_at_alpha(cs, 0)
             p1_payoff = payoff_at_alpha(cs, 1)
             rows.append((pc, correlation_threshold(args.p0, args.p1, args.p2),
-                         p0_payoff, p1_payoff, p1_payoff > p0_payoff))
+                         p0_payoff, p1_payoff, int(p1_payoff > p0_payoff)))
         path = os.path.join(out, "alpha.csv")
         write_csv(path, ["pc", "threshold", "payoff_independent",
                          "payoff_correlated", "prefers_correlation"], rows)
@@ -639,10 +710,10 @@ def cmd_sweep(args) -> int:
                            args.cost, args.grid_step)
         path = os.path.join(out, "symmetry.csv")
         write_csv(path, ["allocation", "payoff", "is_best", "is_symmetric"],
-                  [("|".join(fmt(p) for p in alloc), payoff,
-                    payoff >= rep.best_payoff - ROUNDING,
-                    max(abs(a - s) for a, s in
-                        zip(alloc, rep.symmetric_allocation)) <= ROUNDING)
+                  [("|".join(repr(float(p)) for p in alloc), payoff,
+                    int(payoff >= rep.best_payoff - ROUNDING),
+                    int(max(abs(a - s) for a, s in
+                            zip(alloc, rep.symmetric_allocation)) <= ROUNDING))
                    for alloc, payoff in rep.allocations])
         files.append(path)
         summary = {
@@ -657,13 +728,14 @@ def cmd_sweep(args) -> int:
             chk = bridge_mc_check(args.precision, args.cost,
                                   samples=args.mc_samples, seed=args.seed,
                                   grid_points=args.grid_points)
-            rows = [(t, v, e, s) for t, v, e, s in
-                    zip(schedule.times, schedule.variances, chk.empirical,
-                        chk.stderr)]
+            rows = list(zip(schedule.times.tolist(),
+                            schedule.variances.tolist(),
+                            chk.empirical.tolist(), chk.stderr.tolist()))
             header = ["t", "posterior_variance", "empirical_mse", "stderr"]
             summary = {"within_3se": chk.within, "max_z": chk.max_z}
         else:
-            rows = list(zip(schedule.times, schedule.variances))
+            rows = list(zip(schedule.times.tolist(),
+                            schedule.variances.tolist()))
             header = ["t", "posterior_variance"]
             summary = {"final_time": schedule.final_time}
         path = os.path.join(out, "bridge.csv")

@@ -26,8 +26,11 @@ from .environment import Belief, Experiment, JointPrior, no_direct_info
 from .errors import AttnMarketError, SubsetSpaceTooLarge
 from .tolerance import SLACK_TOL
 
-# The all-pairs M-natural check grows about 4.5x per sender: at 9 senders
-# it makes 589,824 pair checks in about 3.5 s, at 10 about 20 s.
+# The all-pairs M-natural check makes n * 4**(n - 1) exchange checks.  On
+# 8 and 9 conditionally iid binary senders (131,072 and 589,824 checks,
+# 4,368 and 14,688 witnesses) it takes 0.016 s and 0.058 s and raises peak
+# RSS over the lattice's by 2.4 MB and 9.0 MB, mostly the witness dicts
+# (one 2-core Xeon, Python 3.11, numpy 2.4).
 MAX_SUBSET_SENDERS = 9
 
 
@@ -173,42 +176,56 @@ def check_substitutes(dp: DecisionProblem, prior: JointPrior,
 
 
 def check_mnat_concave(dp: DecisionProblem, prior: JointPrior) -> ConditionReport:
-    """Discrete (M-natural) concavity of the coalition value by exhaustive
-    enumeration of subset pairs."""
+    """Discrete (M-natural) concavity of the coalition value f, by exhaustive
+    enumeration: for all subsets S, T of the senders and every s in S - T,
+
+        f(S) + f(T) <= max(f(S - s) + f(T + s),
+                           max over t in T - S of f(S - s + t) + f(T + s - t)).
+
+    f is an array indexed by bitmask, and each moved sender s is checked
+    in one array pass over the pairs with s in S and not in T.  Each side
+    is the same sum of two floats that a loop over the triples forms, so
+    ``checked``, ``margin`` and the witnesses are that loop's; the
+    witnesses are ordered by S and then T, each by the subsets' order by
+    size and then lexicographically, and then by ascending ``moved``."""
     n = prior.n_senders
     if n > MAX_SUBSET_SENDERS:
         raise SubsetSpaceTooLarge(
             f"{n} senders exceed the exhaustive enumeration limit "
             f"of {MAX_SUBSET_SENDERS}"
         )
-    lattice = _Lattice(dp, prior.mass)
-    f = {frozenset(S): lattice.coalition(S) - lattice.coalition(())
-         for r in range(n + 1)
-         for S in itertools.combinations(range(1, n + 1), r)}
+    coalitions = _Lattice(dp, prior.mass).coalitions()
+    f = coalitions - coalitions[0]
+    members = [list(S) for r in range(n + 1)
+               for S in itertools.combinations(range(1, n + 1), r)]
+    subsets = np.array([sum(1 << (i - 1) for i in S) for S in members])
     report = ConditionReport("mnat_concave", holds=True, margin=np.inf)
-    subsets = list(f.keys())
-    for S, T in itertools.product(subsets, subsets):
-        for s in S - T:
-            lhs = f[S] + f[T]
-            candidates = [f[S - {s}] + f[T | {s}]]
-            candidates += [f[(S - {s}) | {t}] + f[(T | {s}) - {t}]
-                           for t in T - S]
-            rhs = max(candidates)
-            slack = rhs - lhs
-            if -SLACK_TOL <= slack < 0.0:
-                slack = 0.0  # equality up to rounding
-            report.checked += 1
-            report.margin = min(report.margin, slack)
-            if slack < -SLACK_TOL:
-                report.holds = False
-                report.witnesses.append({
-                    "S": sorted(S),
-                    "T": sorted(T),
-                    "moved": s,
-                    "lhs": lhs,
-                    "rhs": rhs,
-                })
+    found = []
+    for s in range(n):
+        bit = 1 << s
+        rows = np.flatnonzero(subsets & bit)   # the S that hold s
+        cols = np.flatnonzero(~subsets & bit)  # the T that do not
+        S, T = subsets[rows, None], subsets[None, cols]
+        lhs = f[S] + f[T]
+        S, T = S ^ bit, T | bit  # S - s and T + s
+        rhs = f[S] + f[T]
+        for t in (1 << k for k in range(n) if k != s):
+            np.maximum(rhs, f[S | t] + f[T & ~t], out=rhs,
+                       where=((S & t) == 0) & ((T & t) != 0))  # t in T - S
+        slack = rhs - lhs
+        slack[(-SLACK_TOL <= slack) & (slack < 0.0)] = 0.0  # equality up to rounding
+        report.checked += slack.size
+        report.margin = min(report.margin, float(slack.min()))
+        i, j = np.nonzero(slack < -SLACK_TOL)
+        found.append((rows[i], cols[j], np.full(len(i), s + 1),
+                      lhs[i, j], rhs[i, j]))
     if report.checked == 0:
         report.margin = 0.0
         report.note = "no subset triples to check"
+        return report
+    a, b, moved, lhs, rhs = (np.concatenate(c).tolist() for c in zip(*found))
+    report.witnesses = [{"S": list(members[a[k]]), "T": list(members[b[k]]),
+                         "moved": moved[k], "lhs": lhs[k], "rhs": rhs[k]}
+                        for k in np.lexsort((moved, b, a)).tolist()]
+    report.holds = not report.witnesses
     return report

@@ -189,6 +189,11 @@ class _Lattice:
         return float(self._coalitions[tuple(int(i in subset)
                                             for i in range(1, self.n + 1))])
 
+    def coalitions(self) -> np.ndarray:
+        """``coalition`` of every subset, indexed by bitmask: bit ``i - 1``
+        is set where sender ``i`` is revealed."""
+        return self._coalitions.transpose().ravel()
+
     def gain(self, sender: int) -> np.ndarray:
         """G_i where the sender is unrevealed (her axis kept with size 1):
         the sum over her values of max_a EU - EU of the node's best action.

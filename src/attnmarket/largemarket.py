@@ -59,7 +59,7 @@ class IIDEnvironment:
         if np.any(np.abs(lik.sum(axis=1) - 1.0) > ROUNDING):
             raise ValueError("likelihood rows must sum to 1")
         for a, b in itertools.combinations(range(m), 2):
-            if np.allclose(lik[a], lik[b]):
+            if np.abs(lik[a] - lik[b]).max() <= ROUNDING:
                 raise ValueError(f"states {a} and {b} are indistinguishable")
         if u.shape != (len(actions), m) or len(actions) < m:
             raise ValueError("utility must be actions x states with at "

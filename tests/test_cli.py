@@ -1,9 +1,13 @@
 import csv
+import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from attnmarket import cli
 from attnmarket.cli import load_scenario, main
@@ -574,3 +578,51 @@ def test_out_dir_env_var(scenario_dir, tmp_path, monkeypatch):
                 str(scenario_dir / "gaussian_symmetric.yaml")])
     assert code == 0
     assert (target / "gaussian_rates.csv").exists()
+
+
+# -- report.json emitter ------------------------------------------------------------
+
+def _json_dump(obj) -> str:
+    out = io.StringIO()
+    json.dump(obj, out, indent=2, sort_keys=True)
+    return out.getvalue() + "\n"
+
+
+def _write_json(obj) -> str:
+    out = io.StringIO()
+    cli.write_json(out, obj)
+    return out.getvalue()
+
+
+_json_leaves = (st.none() | st.booleans() | st.integers()
+                | st.floats() | st.floats().map(np.float64)
+                | st.sampled_from([np.inf, -np.inf, np.nan]) | st.text())
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+                   | st.dictionaries(st.integers(1, 12), inner, max_size=12)
+                   | st.dictionaries(st.floats(), inner, max_size=3)
+                   | st.dictionaries(st.booleans(), inner, max_size=2)),
+    max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_values)
+@example({k: [k, float(k)] for k in range(12, 0, -1)})
+@example({"a": {}, "b": [], "c": [{}, []], "é☃\U0001f600": None})
+@example([np.inf, -np.inf, np.nan, np.float64(0.1), True, False, None])
+@example([{None: 1}, {np.float64(2.5): {np.inf: -0.0, np.nan: 2}}])
+def test_write_json_gives_the_bytes_of_json_dump(obj):
+    assert _write_json(obj) == _json_dump(obj)
+
+
+@pytest.mark.parametrize("obj", [np.int64(3), [1, np.int64(3)],
+                                 {"a": np.bool_(True)}, {np.int64(1): 2},
+                                 {1: "int", "a": "str"}, [object()]])
+def test_write_json_raises_type_error_where_json_does(obj):
+    with pytest.raises(TypeError):
+        _json_dump(obj)
+    with pytest.raises(TypeError):
+        _write_json(obj)

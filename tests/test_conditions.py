@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from attnmarket import presets
 from attnmarket.conditions import (
     check_assumption2,
     check_mnat_concave,
@@ -134,6 +137,128 @@ def test_mnat_subset_limit(coin_match):
             check_mnat_concave(dp, prior)
     finally:
         conditions.MAX_SUBSET_SENDERS = old
+
+
+def _mnat_all_pairs(dp, prior):
+    """The M-natural check as a loop over every (S, T, moved) triple, each
+    subset a frozenset: the judge of the array pass."""
+    import itertools
+
+    import numpy as np
+    from attnmarket.conditions import ConditionReport
+    from attnmarket.decision import _Lattice
+    from attnmarket.tolerance import SLACK_TOL
+    n = prior.n_senders
+    lattice = _Lattice(dp, prior.mass)
+    f = {frozenset(S): lattice.coalition(S) - lattice.coalition(())
+         for r in range(n + 1)
+         for S in itertools.combinations(range(1, n + 1), r)}
+    report = ConditionReport("mnat_concave", holds=True, margin=np.inf)
+    subsets = list(f.keys())
+    for S, T in itertools.product(subsets, subsets):
+        for s in S - T:
+            lhs = f[S] + f[T]
+            candidates = [f[S - {s}] + f[T | {s}]]
+            candidates += [f[(S - {s}) | {t}] + f[(T | {s}) - {t}]
+                           for t in T - S]
+            rhs = max(candidates)
+            slack = rhs - lhs
+            if -SLACK_TOL <= slack < 0.0:
+                slack = 0.0  # equality up to rounding
+            report.checked += 1
+            report.margin = min(report.margin, slack)
+            if slack < -SLACK_TOL:
+                report.holds = False
+                report.witnesses.append({
+                    "S": sorted(S),
+                    "T": sorted(T),
+                    "moved": s,
+                    "lhs": lhs,
+                    "rhs": rhs,
+                })
+    return report
+
+
+@st.composite
+def mnat_problems(draw):
+    """Random 1-5 sender environments with zero-mass cells and utilities on
+    the full joint space, so that complements (as in coin_match) occur."""
+    import numpy as np
+    from attnmarket.decision import DecisionProblem
+    from attnmarket.environment import ComponentSpace, JointPrior
+    n_senders = draw(st.integers(1, 5))
+    sizes = [draw(st.integers(1, 2))] + [draw(st.integers(1, 2))
+                                         for _ in range(n_senders)]
+    total = int(np.prod(sizes))
+    weights = draw(st.lists(st.integers(0, 4), min_size=total,
+                            max_size=total).filter(any))
+    mass = np.asarray(weights, dtype=float).reshape(sizes)
+    n_actions = draw(st.integers(1, 3))
+    table = draw(st.lists(st.integers(-2, 2) | st.floats(-2.0, 2.0, width=32),
+                          min_size=n_actions * total,
+                          max_size=n_actions * total))
+    spaces = tuple(ComponentSpace(k, tuple(range(size)))
+                   for k, size in enumerate(sizes))
+    dp = DecisionProblem(tuple(f"a{j}" for j in range(n_actions)),
+                         np.asarray(table, dtype=float)
+                         .reshape([n_actions] + sizes))
+    return JointPrior(spaces, mass / mass.sum()), dp
+
+
+@settings(max_examples=150, deadline=None)
+@given(mnat_problems())
+@example(presets.coin_match())
+@example(presets.pair_guess())
+def test_mnat_array_pass_matches_the_triple_loop(problem):
+    prior, dp = problem
+    got = check_mnat_concave(dp, prior)
+    want = _mnat_all_pairs(dp, prior)
+    assert got.checked == want.checked
+    assert got.holds == want.holds
+    assert got.margin == want.margin
+    assert got.witnesses == want.witnesses
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_mnat_array_pass_matches_the_triple_loop_on_random_environments(seed):
+    """Continuous random payoffs and masses on 2-5 senders, where exchanges
+    that the integer-valued examples above seldom separate do matter."""
+    import numpy as np
+    from attnmarket.decision import DecisionProblem
+    from attnmarket.environment import ComponentSpace, JointPrior
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        sizes = [2] * (1 + int(rng.integers(2, 6)))
+        spaces = tuple(ComponentSpace(k, (0, 1)) for k in range(len(sizes)))
+        mass = rng.random(sizes) * (rng.random(sizes) > 0.1)
+        prior = JointPrior(spaces, mass / mass.sum())
+        dp = DecisionProblem(("a0", "a1", "a2"), rng.normal(size=[3] + sizes))
+        got = check_mnat_concave(dp, prior)
+        want = _mnat_all_pairs(dp, prior)
+        assert (got.checked, got.holds, got.margin, got.witnesses) == (
+            want.checked, want.holds, want.margin, want.witnesses)
+
+
+def test_mnat_array_pass_matches_the_triple_loop_at_eight_senders():
+    """From 8 senders a frozenset's iteration order is not ascending, so
+    the loop's witnesses come in another order within a pair; the sets
+    agree, and the array pass moves senders in ascending order."""
+    prior, dp = presets.conditionally_iid_signals(
+        n=8, accuracy=0.8, abstain_utility=0.55)
+    got = check_mnat_concave(dp, prior)
+    want = _mnat_all_pairs(dp, prior)
+    assert got.witnesses, "the environment should violate the condition"
+    assert (got.checked, got.holds, got.margin) == (want.checked, want.holds,
+                                                    want.margin)
+
+    def key(w):
+        return (tuple(w["S"]), tuple(w["T"]), w["moved"], w["lhs"], w["rhs"])
+
+    assert sorted(map(key, got.witnesses)) == sorted(map(key, want.witnesses))
+    pairs = [(tuple(w["S"]), tuple(w["T"])) for w in got.witnesses]
+    for k in range(1, len(pairs)):
+        if pairs[k] == pairs[k - 1]:
+            assert got.witnesses[k]["moved"] > got.witnesses[k - 1]["moved"]
 
 
 # -- cross-checker consistency ------------------------------------------------------

@@ -42,6 +42,25 @@ def test_environment_validation():
                        ("a0", "a1"), [[1.0, 0.0], [1.0, 1.0]])
 
 
+@pytest.mark.parametrize("second, distinct", [
+    ([0.600001, 0.399999], True),
+    ([0.6 + 1e-13, 0.4 - 1e-13], False),
+    ([0.6, 0.4], False),
+])
+def test_likelihood_rows_differ_beyond_rounding(second, distinct):
+    """Rows 1e-6 apart are two distinguishable states; rows within
+    ``ROUNDING`` of each other are one."""
+    def build():
+        return IIDEnvironment(("s0", "s1"), (0.5, 0.5), ("0", "1"),
+                              [[0.6, 0.4], second],
+                              ("a0", "a1"), [[1.0, 0.0], [0.0, 1.0]])
+    if distinct:
+        assert build().n_states == 2
+    else:
+        with pytest.raises(ValueError, match="indistinguishable"):
+            build()
+
+
 def test_default_environment_keeps_residuals_positive(env, plain):
     curve = residual_value_curve(env, range(1, 6))
     assert all(p.value > 0 for p in curve)

@@ -20,6 +20,20 @@ def test_thresholds_are_defined_only_in_the_tolerance_module():
     assert found == []
 
 
+# a closeness test with an implicit threshold: numpy's or math's defaults
+CLOSENESS = re.compile(r"\b(?:allclose|isclose)\(")
+
+
+def test_no_closeness_test_hides_a_threshold():
+    package = Path(attnmarket.__file__).parent
+    found = [f"{path.name}:{k}: {line.strip()}"
+             for path in sorted(package.glob("*.py"))
+             if path.name != "tolerance.py"
+             for k, line in enumerate(path.read_text().splitlines(), 1)
+             if CLOSENESS.search(line)]
+    assert found == []
+
+
 def test_condition_slack_keeps_its_threshold():
     # bench/reference.py mirrors this value when it counts witnesses
     assert tolerance.SLACK_TOL == 1e-10
