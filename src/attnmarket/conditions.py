@@ -7,22 +7,37 @@ equilibrium play) and probe off-path robustness at seeded random garbled
 beliefs.  Both layers are reported separately in the witness list.
 
 A garbled belief is the prior times one likelihood vector per garbling of
-a competitor's component.  Its expected utilities per action and sender
-values are therefore the prior lattice's times the product of those
-likelihoods, and a sample is scored where nothing is revealed, from that
-reweighted array by ``decision._root_values``: no lattice is built per
-sample.  Each sample is first certified by ``no_direct_info``.
+a competitor's component: a weight ``w`` > 0 on the competitors' joint
+values that does not vary along the sender's own axis.  Her best action
+at each completion of the competitors is then the prior's, so G_i, H_i
+and P at the belief are linear in ``w``.  Each sender's three tables are
+built once per call from the prior lattice's per-value entries
+(``_sender_tables``): her expected utilities per action and value over
+the competitors' joint, the terms of H_i summed over her values, and the
+mass summed over her values.  A sample keeps only its likelihood vectors
+and its joint of the sender components, and is scored from three
+products with ``w``: no lattice and no payoff x senders array per sample.
+Before it is scored, the sample's joint is certified against the
+prior's by ``environment._ratio_test``, the cross-multiplication test of
+``no_direct_info``, whose prior side is gathered once per sender.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decision import DecisionProblem, _Lattice, _revealed_values, _root_values
-from .environment import Belief, Experiment, JointPrior, no_direct_info
+from .decision import (
+    DecisionProblem,
+    _Lattice,
+    _own_gain,
+    _residual_terms,
+    _revealed_labels,
+)
+from .environment import Experiment, JointPrior, _ratio_test
 from .errors import AttnMarketError, SubsetSpaceTooLarge
 from .tolerance import SLACK_TOL
 
@@ -46,12 +61,14 @@ class ConditionReport:
     note: str = ""
 
     def to_dict(self) -> dict:
+        """The report as ``report.json`` holds it; the witness list is the
+        report's own, not a copy."""
         return {
             "name": self.name,
             "holds": self.holds,
             "margin": self.margin,
             "checked": self.checked,
-            "witnesses": [dict(w) for w in self.witnesses],
+            "witnesses": self.witnesses,
             "note": self.note,
         }
 
@@ -75,25 +92,26 @@ def check_assumption2(dp: DecisionProblem, prior: JointPrior,
         slack = values - cost
         report.checked += len(rows)
         report.margin = min(report.margin, float(slack.min()))
+        given = _revealed_labels(prior, rows)
         for k in np.flatnonzero(slack <= SLACK_TOL):
             report.holds = False
             report.witnesses.append({
                 "sender": i,
-                "given": _revealed_values(prior, rows[k]),
+                "given": given(k),
                 "residual_value": float(values[k]),
                 "cost": cost,
             })
     return report
 
 
-def _garbled_weight(prior: JointPrior, start: np.ndarray, sender: int,
-                    others: list, rng) -> np.ndarray:
-    """The likelihood product, over the sender axes, of a random belief
-    formed from the prior's belief mass ``start`` by composed binary-channel
-    garblings of the ``others`` components, certified to carry no direct
-    information from ``sender``."""
+def _garble(prior: JointPrior, joint: np.ndarray, others: list, rng):
+    """One random garbled belief: composed binary-channel garblings of the
+    ``others`` components, drawn from the prior's joint of the sender
+    components ``joint``.  Returns one likelihood vector per sender (ones
+    where she is not garbled) and the belief's joint of the sender
+    components, up to scale."""
     n = prior.n_senders
-    mass, weight = start, np.ones(prior.shape[1:])
+    liks = [np.ones(k) for k in prior.shape[1:]]
     for _ in range(rng.integers(1, 4)):
         j = int(rng.choice(others))
         space = prior.spaces[j]
@@ -102,19 +120,24 @@ def _garbled_weight(prior: JointPrior, start: np.ndarray, sender: int,
                       rng.choice(space.size, size=split, replace=False)}
         kernel = Experiment.binary_channel(
             space, one_values, flip_prob=float(rng.uniform(0.05, 0.45))).kernel
-        dist = mass.sum(axis=tuple(k for k in range(n + 1) if k != j)) @ kernel
+        dist = joint.sum(axis=tuple(k for k in range(n) if k != j - 1)) @ kernel
         lik = kernel[:, int(rng.choice(2, p=dist / dist.sum()))]
-        lik = lik.reshape((-1,) + (1,) * (n - j))
-        weight = weight * lik
-        # normalized twice, as `update` and then `Belief` do, so that later
-        # draws see the marginals that a chain of `update` calls gives
-        mass = mass * lik
-        mass = mass / mass.sum()
-        mass = mass / mass.sum()
-    if not no_direct_info(Belief(prior.spaces, mass), prior, sender):
-        raise AttnMarketError(f"garbled belief for sender {sender} carries "
-                              "direct information from her own component")
-    return weight
+        liks[j - 1] = liks[j - 1] * lik
+        joint = joint * lik.reshape((-1,) + (1,) * (n - j))
+    return liks, joint
+
+
+def _sender_tables(eu: np.ndarray, joint: np.ndarray, sender: int) -> tuple:
+    """The tables that score a garbled belief for ``sender`` where nothing
+    is revealed, from the prior's per-value ``eu`` (actions x k_1 x ... x
+    k_n) and ``joint`` (k_1 x ... x k_n).  With ``w`` the belief's weight
+    on the competitors' joint (R = the product of their k_j, in axis
+    order), ``E @ w`` is her per-value expected utility times P (E:
+    actions x k_i x R), ``D @ w`` is H_i and ``M @ w`` is P."""
+    own = np.moveaxis(eu, sender, 1)
+    E = np.ascontiguousarray(own).reshape(own.shape[:2] + (-1,))
+    D = _residual_terms(eu, sender).sum(axis=sender - 1).ravel()
+    return E, D, joint.sum(axis=sender - 1).ravel()
 
 
 def _score_substitutes(report: ConditionReport, sender: int, layer: str,
@@ -157,21 +180,29 @@ def check_substitutes(dp: DecisionProblem, prior: JointPrior,
     # the prior's per-value entries, which a garbled belief reweights
     n = prior.n_senders
     values = (slice(None),) + (slice(-1),) * n
-    eu, mass = lattice.eu[values], lattice.mass[values[1:]]
-    start = prior.belief().mass
+    eu, joint = lattice.eu[values], lattice.mass[values[1:]]
     for i in range(1, n + 1):
         rows = cells[cells[:, i - 1] < 0]
         at = tuple(rows.T)
         _score_substitutes(report, i, "revealed", lattice.gain(i)[at],
                            lattice.residual(i)[at], lattice.mass[at],
-                           lambda k: _revealed_values(prior, rows[k]))
+                           _revealed_labels(prior, rows))
         others = [j for j in range(1, n + 1)
                   if j != i and prior.spaces[j].size > 1]
-        for _ in range(samples if others else 0):
-            weight = _garbled_weight(prior, start, i, others, rng)
-            _score_substitutes(report, i, "garbled",
-                               *_root_values(eu * weight, i),
-                               (mass * weight).sum(), lambda k: None)
+        if not (samples and others):
+            continue
+        E, D, M = _sender_tables(eu, joint, i)
+        certified = _ratio_test(joint, i)
+        for _ in range(samples):
+            liks, belief = _garble(prior, joint, others, rng)
+            if not certified(belief):
+                raise AttnMarketError(f"garbled belief for sender {i} carries "
+                                      "direct information from her own "
+                                      "component")
+            w = functools.reduce(np.multiply.outer, liks[:i - 1] + liks[i:])
+            w = w.ravel()
+            _score_substitutes(report, i, "garbled", _own_gain(E @ w), D @ w,
+                               M @ w, lambda k: None)
     return report
 
 

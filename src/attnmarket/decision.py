@@ -235,12 +235,34 @@ def _root_values(eu: np.ndarray, sender: int) -> tuple:
     own = eu
     for ax in (k for k in range(1, n + 1) if k != sender):
         own = own.sum(axis=ax, keepdims=True)
-    own = own.reshape(len(own), -1)
-    gain = (own.max(axis=0) - own[own.sum(axis=1).argmax()]).sum()
-    # H_i: G_i at each completion w_{-i} of the others, summed
+    gain = _own_gain(own.reshape(len(own), -1))
+    return gain, _residual_terms(eu, sender).sum()
+
+
+def _own_gain(own: np.ndarray) -> float:
+    """G_i where nothing is revealed, from her per-value expected utilities
+    times P (actions x k_i): her values against the best action before
+    any is seen."""
+    return (own.max(axis=0) - own[own.sum(axis=1).argmax()]).sum()
+
+
+def _residual_terms(eu: np.ndarray, sender: int) -> np.ndarray:
+    """The terms of H_i at the root, one per joint value (k_1 x ... x k_n):
+    max_a EU - EU of the action that is best at her completion w_{-i}.
+    Each is >= 0, and exactly 0 where her value does not change it."""
     best = eu.sum(axis=sender, keepdims=True).argmax(axis=0)[None]
     stay = np.take_along_axis(eu, best, axis=0)[0]
-    return gain, (eu.max(axis=0) - stay).sum()
+    return eu.max(axis=0) - stay
+
+
+def _revealed_labels(prior: JointPrior, rows: np.ndarray):
+    """``label(k)``: the value labels of the senders that the k-th of the
+    lattice nodes ``rows`` reveals.  The rows become Python lists once, so
+    labelling many nodes indexes no numpy row."""
+    labels = [space.values for space in prior.spaces[1:]]
+    cells = rows.tolist()
+    return lambda k: {j: labels[j - 1][v]
+                      for j, v in enumerate(cells[k], 1) if v >= 0}
 
 
 def _revealed_values(prior: JointPrior, cell) -> dict:

@@ -294,16 +294,36 @@ def no_direct_info(belief: Belief, prior: JointPrior, sender: int) -> bool:
     divide.
     """
     belief._check_component(sender)
-    # marginalize out the payoff component, move the sender's axis first
-    b = np.moveaxis(belief.mass.sum(axis=0), sender - 1, 0)
-    p = np.moveaxis(prior.mass.sum(axis=0), sender - 1, 0)
-    b = b.reshape(b.shape[0], -1)
-    p = p.reshape(p.shape[0], -1)
-    # cross products b[v] * p[v'] vs b[v'] * p[v] for all value pairs
-    lhs = b[:, None, :] * p[None, :, :]
-    diff = np.abs(lhs - lhs.transpose(1, 0, 2))
-    scale = np.maximum(lhs, lhs.transpose(1, 0, 2))
-    return bool(np.all(diff <= ROUNDING * np.maximum(scale, TINY)))
+    # marginalize out the payoff component
+    same = _ratio_test(prior.mass.sum(axis=0), sender)
+    return same(belief.mass.sum(axis=0))
+
+
+def _ratio_test(p: np.ndarray, sender: int):
+    """The test of ``no_direct_info`` against ``p``, a joint of the sender
+    components at any scale (axis ``sender - 1`` is the sender's): returns
+    ``same(b)``, True when at every realization of the other senders'
+    components the cross products ``b[v] * p[v']`` and ``b[v'] * p[v]`` of
+    each pair of her values agree within ``ROUNDING`` relative to the
+    larger.  ``p``'s side is gathered once, for any number of ``b``."""
+    first, second = np.triu_indices(p.shape[sender - 1], 1)
+
+    def pairs(a):
+        # her values on the first axis, the others' joint on the second;
+        # the pair (v, v') and (v', v) give the same test, so v < v' only
+        a = np.moveaxis(a, sender - 1, 0)
+        a = a.reshape(a.shape[0], -1)
+        return a[first], a[second]
+
+    p_first, p_second = pairs(p)
+
+    def same(b: np.ndarray) -> bool:
+        b_first, b_second = pairs(b)
+        lhs, rhs = b_first * p_second, b_second * p_first
+        scale = np.maximum(np.maximum(lhs, rhs), TINY)
+        return bool(np.all(np.abs(lhs - rhs) <= ROUNDING * scale))
+
+    return same
 
 
 def _fuse_axes(arr: np.ndarray, a: int, b: int) -> np.ndarray:

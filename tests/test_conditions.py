@@ -69,9 +69,52 @@ def test_substitutes_refuses_uncertified_garbled_belief(pair_guess,
                                                       monkeypatch):
     import attnmarket.conditions as conditions
     prior, dp = pair_guess
-    monkeypatch.setattr(conditions, "no_direct_info", lambda *args: False)
+    monkeypatch.setattr(conditions, "_ratio_test",
+                        lambda *args: lambda belief: False)
     with pytest.raises(AttnMarketError):
         check_substitutes(dp, prior, samples=1, seed=0)
+
+
+def test_substitutes_certifies_each_garbled_sample_on_its_own_joint(
+        monkeypatch):
+    """One certification test per sender, against the prior's joint of the
+    sender components, and one call of it per garbled sample, on that
+    sample's joint: tilted by the garbling, but only on the competitors'
+    axes."""
+    import numpy as np
+    import attnmarket.conditions as conditions
+    from attnmarket.environment import _ratio_test
+    from attnmarket.tolerance import ROUNDING
+    prior, dp = presets.conditionally_iid_signals(n=3)
+    joint = prior.mass.sum(axis=0)  # full support
+    calls = []
+
+    def spy(p, sender):
+        np.testing.assert_array_equal(p, joint)
+        same = _ratio_test(p, sender)
+
+        def recorded(b):
+            calls.append((b, sender))
+            return same(b)
+
+        return recorded
+
+    monkeypatch.setattr(conditions, "_ratio_test", spy)
+    check_substitutes(dp, prior, samples=5, seed=0)
+    assert [sender for _, sender in calls] == [1] * 5 + [2] * 5 + [3] * 5
+    for b, sender in calls:
+        tilt = b / joint
+        assert tilt.max() > 1.01 * tilt.min()  # garbled
+        along_own = np.moveaxis(tilt, sender - 1, 0)
+        assert np.all(np.abs(along_own - along_own[0])
+                      <= ROUNDING * along_own[0])
+
+
+def test_to_dict_shares_the_witness_list(coin_match):
+    prior, dp = coin_match
+    report = check_substitutes(dp, prior, samples=3, seed=0)
+    assert report.witnesses
+    assert report.to_dict()["witnesses"] is report.witnesses
 
 
 def test_substitutes_single_sender_vacuous(hypothesis_testing):
@@ -357,13 +400,23 @@ def _random_three_sender_problem(seed):
 
 
 @pytest.mark.parametrize("problem", ["coin_match", "three_action_signals",
-                                     "random"])
+                                     "random", "iid5", "gaussian"])
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_garbled_layer_matches_a_lattice_per_sample(scenario_dir, problem,
                                                     seed):
+    from attnmarket import gaussian
     from attnmarket.cli import load_scenario
     if problem == "random":
         prior, dp = _random_three_sender_problem(seed)
+    elif problem == "iid5":
+        # 16 competitors' completions per sender (17-26 garbled witnesses)
+        prior, dp = presets.conditionally_iid_signals(n=5)
+    elif problem == "gaussian":
+        # 10-value alphabets; the coarse action grid breaks substitutes
+        # at garbled beliefs (24-26 garbled witnesses at these seeds)
+        prior, dp = gaussian.discretized_environment(
+            gaussian.GaussianScenario(p0=1.0, p=(1.0, 1.0), c=0.05),
+            grid_points=10, action_points=5)
     else:
         scenario = load_scenario(scenario_dir / f"{problem}.yaml")
         prior, dp = scenario.prior, scenario.dp

@@ -11,6 +11,7 @@ from attnmarket.decision import (
     ValueReport,
     _expected_utilities,
     _Lattice,
+    _revealed_labels,
     _root_values,
     coalition_value,
     expected_conditioned_value,
@@ -350,3 +351,14 @@ def test_root_kernel_matches_lattice(problem):
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
             if want == 0.0:
                 assert got == 0.0
+
+
+def test_revealed_labels_name_each_revealed_sender():
+    spaces = (ComponentSpace(0, ("-",)), ComponentSpace(1, ("a", "b")),
+              ComponentSpace(2, (10, 20, 30)), ComponentSpace(3, ("x", "y")))
+    prior = JointPrior(spaces, np.full((1, 2, 3, 2), 1 / 12))
+    rows = np.array([[-1, -1, -1], [1, -1, 0], [0, 2, 1]])
+    label = _revealed_labels(prior, rows)
+    assert [label(k) for k in range(3)] == [
+        {}, {1: "b", 3: "x"}, {1: "a", 2: 30, 3: "y"}]
+    assert type(label(2)[2]) is int

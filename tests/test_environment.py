@@ -7,6 +7,7 @@ from attnmarket.environment import (
     ComponentSpace,
     Experiment,
     JointPrior,
+    _ratio_test,
     condition_on_components,
     merge_senders,
     message_distribution,
@@ -237,6 +238,61 @@ def test_no_direct_info_invariant_under_competitors(env_exp, other):
     for m, p in zip(exp.messages, dist):
         if p > 0.0:
             assert no_direct_info(update(belief, exp, m), prior, sender)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_ratio_test_refuses_own_tilt_accepts_competitors_tilt(seed):
+    """The certification kernel on random sender joints with zero-mass
+    cells: a tilt on the sender's own axis is refused, a tilt on the
+    competitors' axes (or a rescaling) is accepted."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    sizes = tuple(int(k) for k in rng.integers(2, 5, n))
+    sender = int(rng.integers(1, n + 1))
+    p = rng.random(sizes) * (rng.random(sizes) < 0.6)
+    # one realization of the others where two of her values have mass
+    corner = [0] * n
+    for v in (0, 1):
+        corner[sender - 1] = v
+        p[tuple(corner)] = rng.uniform(0.1, 1.0)
+
+    def tilted(mass, axis, lik):
+        return mass * lik.reshape((-1,) + (1,) * (n - 1 - axis))
+
+    others = p * rng.uniform(0.1, 10.0)
+    for axis in range(n):
+        if axis != sender - 1:
+            others = tilted(others, axis, rng.uniform(0.05, 0.95, sizes[axis]))
+    own = rng.permutation(np.linspace(0.1, 0.9, sizes[sender - 1]))
+    same = _ratio_test(p, sender)
+    assert same(p)
+    assert same(others)
+    assert not same(tilted(p, sender - 1, own))
+    assert not same(tilted(others, sender - 1, own))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 1e-13, 1e-12, 1e-11]))
+def test_ratio_test_is_the_all_pairs_cross_product_test(seed, eps):
+    """Testing each pair of her values once gives the verdict of comparing
+    the full cross-product arrays, also within a few ROUNDING of the
+    threshold."""
+    from attnmarket.tolerance import ROUNDING, TINY
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    sizes = tuple(int(k) for k in rng.integers(1, 6, n))
+    sender = int(rng.integers(1, n + 1))
+    p = rng.random(sizes) * (rng.random(sizes) < 0.7)
+    b = p * rng.uniform(0.1, 10.0, sizes).mean(axis=sender - 1, keepdims=True)
+    b = b * (1.0 + eps * rng.standard_normal(sizes))
+    pb, pp = (np.moveaxis(a, sender - 1, 0).reshape(sizes[sender - 1], -1)
+              for a in (b, p))
+    lhs = pb[:, None, :] * pp[None, :, :]
+    rhs = lhs.transpose(1, 0, 2)
+    want = np.all(np.abs(lhs - rhs)
+                  <= ROUNDING * np.maximum(np.maximum(lhs, rhs), TINY))
+    assert _ratio_test(p, sender)(b) == bool(want)
 
 
 # -- sender merging -------------------------------------------------------------
