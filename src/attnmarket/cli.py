@@ -50,7 +50,13 @@ from .largemarket import (
     fit_exponential_rate,
     residual_value_curve,
 )
-from .simulate import FixedOrder, RandomOrder, _replicate, equilibrium_policies
+from .simulate import (
+    DEFAULT_ROUND_CAP,
+    FixedOrder,
+    RandomOrder,
+    _replicate,
+    equilibrium_policies,
+)
 from .tolerance import ROUNDING
 
 SCHEMA_VERSION = 1
@@ -382,36 +388,50 @@ def _parse_gaussian(block) -> dict:
 
 @dataclass
 class RunReport:
+    """One run's outputs: the files it writes into ``out`` (by default
+    ``$ATTNMARKET_OUT``, else ``out``), in write order, then
+    ``report.json``, which names them and leaves out the wall clock, so
+    that reports are byte-stable across reruns."""
+
     command: str
     scenario: str
-    condition_reports: dict = field(default_factory=dict)
+    out: str
+    conditions: dict = field(default_factory=dict)
     summary: dict = field(default_factory=dict)
     files: list = field(default_factory=list)
-    wall_clock: float = 0.0
+    start: float = field(default_factory=time.perf_counter)
 
-    def to_dict(self) -> dict:
-        # wall clock stays out: reports must be byte-stable across reruns
-        return {
-            "command": self.command,
-            "scenario": self.scenario,
-            "conditions": {k: v.to_dict() for k, v in
-                           self.condition_reports.items()},
-            "summary": self.summary,
-            "files": [os.path.basename(f) for f in self.files],
-        }
+    def __post_init__(self):
+        self.out = self.out or os.environ.get(OUT_ENV_VAR) or "out"
+        os.makedirs(self.out, exist_ok=True)
 
-    def write(self, out_dir):
-        path = os.path.join(out_dir, "report.json")
+    def csv(self, name, header, rows):
+        path = os.path.join(self.out, name)
+        write_csv(path, header, rows)
+        self.files.append(path)
+
+    def write(self) -> str:
+        """Write ``report.json``, listing the files written before it."""
+        path = os.path.join(self.out, "report.json")
         with open(path, "w") as fh:
-            write_json(fh, self.to_dict())
+            write_json(fh, {
+                "command": self.command,
+                "scenario": self.scenario,
+                "conditions": {k: v.to_dict() for k, v in
+                               self.conditions.items()},
+                "summary": self.summary,
+                "files": [os.path.basename(f) for f in self.files],
+            })
         self.files.append(path)
         return path
 
-
-def _out_dir(args) -> str:
-    out = args.out or os.environ.get(OUT_ENV_VAR) or "out"
-    os.makedirs(out, exist_ok=True)
-    return out
+    def finish(self) -> int:
+        """Write ``report.json`` and print every file and the wall clock."""
+        self.write()
+        for f in self.files:
+            print(f"wrote {f}")
+        print(f"wall clock: {time.perf_counter() - self.start:.3f}s")
+        return EXIT_OK
 
 
 def _print_conditions(reports):
@@ -431,7 +451,6 @@ def cmd_check(args) -> int:
     scenario = load_scenario(args.scenario)
     if not scenario.finite:
         raise ScenarioError("'check' needs a finite environment block")
-    seed = args.seed if args.seed is not None else 0
     start = time.perf_counter()
     # first, so that too many senders stop the run before the slower checks
     mnat = check_mnat_concave(scenario.dp, scenario.prior)
@@ -440,106 +459,82 @@ def cmd_check(args) -> int:
                                          scenario.cost),
         "substitutes": check_substitutes(scenario.dp, scenario.prior,
                                          samples=args.su_samples,
-                                         seed=seed),
+                                         seed=args.seed or 0),
         "mnat_concave": mnat,
     }
-    report = RunReport("check", scenario.name, reports,
-                       wall_clock=time.perf_counter() - start)
+    wall_clock = time.perf_counter() - start
     _print_conditions(reports)
     if args.out:
-        report.write(_out_dir(args))
-        print(f"report: {report.files[-1]}")
-    print(f"wall clock: {report.wall_clock:.3f}s")
+        report = RunReport("check", scenario.name, args.out, reports)
+        print(f"report: {report.write()}")
+    print(f"wall clock: {wall_clock:.3f}s")
     return EXIT_OK if all(r.holds for r in reports.values()) else EXIT_CONDITION
 
 
-def _solve_finite(scenario, args, out):
-    seed = args.seed if args.seed is not None else 0
+def _solve_finite(scenario, args, report):
     profile = aon_rates(scenario.dp, scenario.prior, scenario.cost,
                         force=args.force, substitutes_samples=args.su_samples,
-                        seed=seed)
-    files = []
-    path = os.path.join(out, "profile.csv")
-    write_csv(path, ["state_id", "revealed_set", "realization", "sender", "rate"],
-              profile.rows())
-    files.append(path)
-
-    path = os.path.join(out, "payoffs.csv")
-    rows = [("expected_visits", i, v)
-            for i, v in sorted(profile.sender_payoffs.items())]
-    rows.append(("receiver_payoff", "", profile.receiver_payoff))
-    rows.append(("cost", "", profile.cost))
-    write_csv(path, ["quantity", "sender", "value"], rows)
-    files.append(path)
-
-    path = os.path.join(out, "prices.csv")
-    prices = marginal_prices(scenario.dp, scenario.prior)
-    write_csv(path, ["sender", "price"], sorted(prices.items()))
-    files.append(path)
-
-    summary = {
+                        seed=args.seed or 0)
+    report.csv("profile.csv",
+               ["state_id", "revealed_set", "realization", "sender", "rate"],
+               profile.rows())
+    payoffs = sorted(profile.sender_payoffs.items())
+    report.csv("payoffs.csv", ["quantity", "sender", "value"],
+               [("expected_visits", i, v) for i, v in payoffs]
+               + [("receiver_payoff", "", profile.receiver_payoff),
+                  ("cost", "", profile.cost)])
+    prices = sorted(marginal_prices(scenario.dp, scenario.prior).items())
+    report.csv("prices.csv", ["sender", "price"], prices)
+    report.conditions = profile.reports
+    report.summary = {
         "equilibrium": profile.equilibrium,
         "states": len(profile.graph),
-        "sender_payoffs": {str(i): v for i, v in
-                           sorted(profile.sender_payoffs.items())},
+        "sender_payoffs": {str(i): v for i, v in payoffs},
         "receiver_payoff": profile.receiver_payoff,
-        "prices": {str(i): v for i, v in sorted(prices.items())},
+        "prices": {str(i): v for i, v in prices},
     }
-    return profile.reports, summary, files
 
 
-def _solve_gaussian(scenario, args, out):
+CORRELATION_HEADER = ["pc", "threshold", "payoff_independent",
+                      "payoff_correlated", "prefers_correlation"]
+
+
+def _correlation_row(cs):
+    """Receiver payoffs, independent against correlated senders."""
+    independent, correlated = payoff_at_alpha(cs, 0), payoff_at_alpha(cs, 1)
+    return (cs.pc, correlation_threshold(cs.p0, cs.p1, cs.p2), independent,
+            correlated, int(correlated > independent))
+
+
+def _solve_gaussian(scenario, args, report):
     g = scenario.gaussian
     if scenario.cost is None:
         raise ScenarioError("missing 'cost' for a gaussian scenario")
     s = GaussianScenario(g["p0"], g["p"], scenario.cost)
-    rates = gaussian_rates(s)
+    rates = gaussian_rates(s).tolist()
     payoff = gaussian_receiver_payoff(s)
-    files = []
-    path = os.path.join(out, "gaussian_rates.csv")
-    write_csv(path, ["sender", "precision", "rate", "expected_visits"],
-              [(i + 1, p, rate, 1.0 / rate)
-               for i, (p, rate) in enumerate(zip(s.p, rates.tolist()))])
-    files.append(path)
-    path = os.path.join(out, "gaussian_payoffs.csv")
-    write_csv(path, ["quantity", "value"], [
-        ("receiver_payoff", payoff),
-        ("total_precision", s.total_precision),
-        ("cost", s.c),
-    ])
-    files.append(path)
-    summary = {"rates": [float(r) for r in rates], "receiver_payoff": payoff}
+    report.csv("gaussian_rates.csv",
+               ["sender", "precision", "rate", "expected_visits"],
+               [(i + 1, p, rate, 1.0 / rate)
+                for i, (p, rate) in enumerate(zip(s.p, rates))])
+    report.csv("gaussian_payoffs.csv", ["quantity", "value"],
+               [("receiver_payoff", payoff),
+                ("total_precision", s.total_precision), ("cost", s.c)])
+    report.summary = {"rates": rates, "receiver_payoff": payoff}
     if "pc" in g:
-        cs = CorrelatedScenario(g["p0"], g["p"][0], g["p"][1], g["pc"],
-                                g.get("alpha", 0.0), scenario.cost)
-        threshold = correlation_threshold(cs.p0, cs.p1, cs.p2)
-        path = os.path.join(out, "correlation.csv")
-        write_csv(path,
-                  ["pc", "threshold", "payoff_independent",
-                   "payoff_correlated", "prefers_correlation"],
-                  [(cs.pc, threshold, payoff_at_alpha(cs, 0),
-                    payoff_at_alpha(cs, 1),
-                    int(payoff_at_alpha(cs, 1) > payoff_at_alpha(cs, 0)))])
-        files.append(path)
-        summary["correlation_threshold"] = threshold
-    return {}, summary, files
+        row = _correlation_row(CorrelatedScenario(
+            g["p0"], g["p"][0], g["p"][1], g["pc"], g.get("alpha", 0.0),
+            scenario.cost))
+        report.csv("correlation.csv", CORRELATION_HEADER, [row])
+        report.summary["correlation_threshold"] = row[1]
 
 
 def cmd_solve(args) -> int:
     scenario = load_scenario(args.scenario)
-    out = _out_dir(args)
-    start = time.perf_counter()
-    if scenario.finite:
-        reports, summary, files = _solve_finite(scenario, args, out)
-    else:
-        reports, summary, files = _solve_gaussian(scenario, args, out)
-    report = RunReport("solve", scenario.name, reports, summary, files,
-                       time.perf_counter() - start)
-    report.write(out)
-    for f in report.files:
-        print(f"wrote {f}")
-    print(f"wall clock: {report.wall_clock:.3f}s")
-    return EXIT_OK
+    report = RunReport("solve", scenario.name, args.out)
+    (_solve_finite if scenario.finite else _solve_gaussian)(scenario, args,
+                                                            report)
+    return report.finish()
 
 
 def _receiver_policy(spec: str, n: int):
@@ -564,59 +559,45 @@ def cmd_simulate(args) -> int:
     if not scenario.finite:
         raise ScenarioError("'simulate' needs a finite environment block")
     sim = scenario.simulation
-    replications = (args.replications if args.replications is not None
-                    else _integer(sim.get("replications", 10_000),
-                                  "simulation.replications"))
-    seed = (args.seed if args.seed is not None
-            else _integer(sim.get("seed", 0), "simulation.seed"))
+
+    def setting(name, default):  # the flag, else the scenario's, else default
+        flag = getattr(args, name)
+        return (flag if flag is not None
+                else _integer(sim.get(name, default), f"simulation.{name}"))
+
+    replications = setting("replications", 10_000)
+    seed = setting("seed", 0)
     order = args.receiver_order or str(sim.get("receiver_order", "lowest"))
-    round_cap = (args.round_cap if args.round_cap is not None
-                 else _integer(sim.get("round_cap", 10 ** 6),
-                               "simulation.round_cap"))
+    round_cap = setting("round_cap", DEFAULT_ROUND_CAP)
     if replications < 1:
         raise ScenarioError("replications must be at least 1")
     if seed < 0:
         raise ScenarioError(f"simulation.seed is negative: {seed}")
     if round_cap < 1:
         raise ScenarioError("round cap must be at least 1")
+    n = scenario.prior.n_senders
+    receiver = _receiver_policy(order, n)
 
-    out = _out_dir(args)
-    start = time.perf_counter()
+    report = RunReport("simulate", scenario.name, args.out)
     profile = aon_rates(scenario.dp, scenario.prior, scenario.cost,
                         force=args.force, substitutes_samples=args.su_samples,
                         seed=seed)
-    n = scenario.prior.n_senders
-    policies = equilibrium_policies(profile)
-    receiver = _receiver_policy(order, n)
-
-    visit_cols = [f"visits_{i}" for i in range(1, n + 1)]
-    episode_rows = []
-    trace_rows = []
-
-    def record(k, trace):
-        episode_rows.append(
-            (k, trace.total_rounds, trace.cost, trace.action, trace.payoff)
-            + tuple(trace.visits[i] for i in range(1, n + 1)))
-        for rec in trace.rounds:
-            offers = "|".join(f"{i}={float(r)!r}" for i, r in rec.offers)
-            trace_rows.append((k, rec.round, offers, rec.choice,
-                               "" if rec.message is None else rec.message,
-                               rec.node_id))
-
-    mc = _replicate(scenario.dp, scenario.prior, scenario.cost, policies,
-                    receiver, replications, seed, round_cap, profile.graph,
-                    traced=args.trace_episodes, each=record)
-
-    files = []
-    path = os.path.join(out, "episodes.csv")
-    write_csv(path, ["episode", "rounds", "cost", "action", "payoff"]
-              + visit_cols, episode_rows)
-    files.append(path)
+    mc, episodes, traces = _replicate(
+        scenario.dp, scenario.prior, scenario.cost,
+        equilibrium_policies(profile), receiver, replications, seed,
+        round_cap, profile.graph, traced=args.trace_episodes)
+    report.csv("episodes.csv",
+               ["episode", "rounds", "cost", "action", "payoff"]
+               + [f"visits_{i}" for i in range(1, n + 1)],
+               ((k,) + row for k, row in enumerate(episodes)))
     if args.trace_episodes:
-        path = os.path.join(out, "trace.csv")
-        write_csv(path, ["episode", "round", "offers", "choice", "message",
-                         "state_id"], trace_rows)
-        files.append(path)
+        report.csv("trace.csv", ["episode", "round", "offers", "choice",
+                                 "message", "state_id"],
+                   ((k, rec.round,
+                     "|".join(f"{i}={float(r)!r}" for i, r in rec.offers),
+                     rec.choice, "" if rec.message is None else rec.message,
+                     rec.node_id)
+                    for k, trace in enumerate(traces) for rec in trace.rounds))
 
     def stderr(se):
         return se if replications > 1 else 0.0
@@ -625,12 +606,10 @@ def cmd_simulate(args) -> int:
              stderr(mc.se_visits[i])) for i in range(1, n + 1)]
     rows.append(("receiver_payoff", "", profile.receiver_payoff,
                  mc.mean_receiver_payoff, stderr(mc.se_receiver_payoff)))
-    path = os.path.join(out, "summary.csv")
-    write_csv(path, ["quantity", "sender", "theory", "empirical", "stderr"],
-              rows)
-    files.append(path)
-
-    summary = {
+    report.csv("summary.csv", ["quantity", "sender", "theory", "empirical",
+                               "stderr"], rows)
+    report.conditions = profile.reports
+    report.summary = {
         "replications": replications,
         "seed": seed,
         "receiver_order": order,
@@ -639,27 +618,17 @@ def cmd_simulate(args) -> int:
             {"quantity": q, "theory": t, "empirical": e, "stderr": s}
             for q, _, t, e, s in rows],
     }
-    report = RunReport("simulate", scenario.name, profile.reports, summary,
-                       files, time.perf_counter() - start)
-    report.write(out)
-
     print(f"{'quantity':<18} {'theory':>12} {'empirical':>12} {'stderr':>10}")
     for q, _, t, e, s in rows:
         print(f"{q:<18} {t:>12.6f} {e:>12.6f} {s:>10.6f}")
-    for f in report.files:
-        print(f"wrote {f}")
-    print(f"wall clock: {report.wall_clock:.3f}s")
-    return EXIT_OK
+    return report.finish()
 
 
 def cmd_sweep(args) -> int:
     kind = args.sweep_kind
     if kind == "large-n" and args.n_max < 1:
         raise ScenarioError(f"--n-max must be at least 1, got {args.n_max}")
-    out = _out_dir(args)
-    start = time.perf_counter()
-    files = []
-    summary = {}
+    report = RunReport("sweep", kind, args.out)
     if kind == "large-n" and args.finite:
         env = default_environment(accuracy=args.accuracy,
                                   abstain_utility=args.abstain)
@@ -668,14 +637,13 @@ def cmd_sweep(args) -> int:
                                         seed=args.seed)
         errors = decision_error_curve(env, ns, allow_sampling=True,
                                       seed=args.seed)
-        path = os.path.join(out, "large_market.csv")
-        write_csv(path, ["n", "residual_value", "scaled_residual",
-                         "decision_error", "mode"],
-                  [(rv.n, rv.value, rv.scaled, de.value, rv.mode)
-                   for rv, de in zip(residual, errors)])
-        files.append(path)
+        report.csv("large_market.csv", ["n", "residual_value",
+                                        "scaled_residual", "decision_error",
+                                        "mode"],
+                   [(rv.n, rv.value, rv.scaled, de.value, rv.mode)
+                    for rv, de in zip(residual, errors)])
         fit = fit_exponential_rate(residual)
-        summary = {
+        report.summary = {
             "n_max": args.n_max,
             "terminal_scaled_residual": residual[-1].scaled,
             "terminal_decision_error": errors[-1].value,
@@ -685,72 +653,48 @@ def cmd_sweep(args) -> int:
     elif kind == "large-n":
         rows = large_n_gaussian(args.p0, args.precision, args.cost,
                                 range(1, args.n_max + 1))
-        path = os.path.join(out, "large_n.csv")
-        write_csv(path, ["n", "mse_term", "attention_cost", "total"],
-                  [(r["n"], r["mse_term"], r["attention_cost"], r["total"])
-                   for r in rows])
-        files.append(path)
-        summary = {"n_max": args.n_max, "terminal_total": rows[-1]["total"]}
+        report.csv("large_n.csv", ["n", "mse_term", "attention_cost", "total"],
+                   [(r["n"], r["mse_term"], r["attention_cost"], r["total"])
+                    for r in rows])
+        report.summary = {"n_max": args.n_max,
+                          "terminal_total": rows[-1]["total"]}
     elif kind == "alpha":
-        rows = []
-        for pc in args.pc:
-            cs = CorrelatedScenario(args.p0, args.p1, args.p2, pc, 0.0,
-                                    args.cost)
-            p0_payoff = payoff_at_alpha(cs, 0)
-            p1_payoff = payoff_at_alpha(cs, 1)
-            rows.append((pc, correlation_threshold(args.p0, args.p1, args.p2),
-                         p0_payoff, p1_payoff, int(p1_payoff > p0_payoff)))
-        path = os.path.join(out, "alpha.csv")
-        write_csv(path, ["pc", "threshold", "payoff_independent",
-                         "payoff_correlated", "prefers_correlation"], rows)
-        files.append(path)
-        summary = {"threshold": rows[0][1]}
+        rows = [_correlation_row(CorrelatedScenario(
+            args.p0, args.p1, args.p2, pc, 0.0, args.cost)) for pc in args.pc]
+        report.csv("alpha.csv", CORRELATION_HEADER, rows)
+        report.summary = {"threshold": rows[0][1]}
     elif kind == "symmetry":
         rep = symmetry_gap(args.p0, args.total_precision, args.senders,
                            args.cost, args.grid_step)
-        path = os.path.join(out, "symmetry.csv")
-        write_csv(path, ["allocation", "payoff", "is_best", "is_symmetric"],
-                  [("|".join(repr(float(p)) for p in alloc), payoff,
-                    int(payoff >= rep.best_payoff - ROUNDING),
-                    int(max(abs(a - s) for a, s in
-                            zip(alloc, rep.symmetric_allocation)) <= ROUNDING))
-                   for alloc, payoff in rep.allocations])
-        files.append(path)
-        summary = {
+        report.csv("symmetry.csv",
+                   ["allocation", "payoff", "is_best", "is_symmetric"],
+                   [("|".join(repr(float(p)) for p in alloc), payoff,
+                     int(payoff >= rep.best_payoff - ROUNDING),
+                     int(max(abs(a - s) for a, s in
+                             zip(alloc, rep.symmetric_allocation)) <= ROUNDING))
+                    for alloc, payoff in rep.allocations])
+        report.summary = {
             "symmetric_payoff": rep.symmetric_payoff,
             "best_payoff": rep.best_payoff,
             "symmetric_is_max": rep.symmetric_is_max,
         }
     elif kind == "bridge":
-        schedule = bridge_schedule(args.precision, args.cost,
-                                   args.grid_points)
+        schedule = bridge_schedule(args.precision, args.cost, args.grid_points)
+        columns = [schedule.times.tolist(), schedule.variances.tolist()]
+        header = ["t", "posterior_variance"]
         if args.mc_samples:
             chk = bridge_mc_check(args.precision, args.cost,
                                   samples=args.mc_samples, seed=args.seed,
                                   grid_points=args.grid_points)
-            rows = list(zip(schedule.times.tolist(),
-                            schedule.variances.tolist(),
-                            chk.empirical.tolist(), chk.stderr.tolist()))
-            header = ["t", "posterior_variance", "empirical_mse", "stderr"]
-            summary = {"within_3se": chk.within, "max_z": chk.max_z}
+            columns += [chk.empirical.tolist(), chk.stderr.tolist()]
+            header += ["empirical_mse", "stderr"]
+            report.summary = {"within_3se": chk.within, "max_z": chk.max_z}
         else:
-            rows = list(zip(schedule.times.tolist(),
-                            schedule.variances.tolist()))
-            header = ["t", "posterior_variance"]
-            summary = {"final_time": schedule.final_time}
-        path = os.path.join(out, "bridge.csv")
-        write_csv(path, header, rows)
-        files.append(path)
+            report.summary = {"final_time": schedule.final_time}
+        report.csv("bridge.csv", header, zip(*columns))
     else:
         raise ScenarioError(f"unknown sweep kind {kind!r}")
-
-    report = RunReport("sweep", kind, {}, summary, files,
-                       time.perf_counter() - start)
-    report.write(out)
-    for f in report.files:
-        print(f"wrote {f}")
-    print(f"wall clock: {report.wall_clock:.3f}s")
-    return EXIT_OK
+    return report.finish()
 
 
 # -- argument parsing -----------------------------------------------------------

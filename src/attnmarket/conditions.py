@@ -37,7 +37,7 @@ from .decision import (
     _residual_terms,
     _revealed_labels,
 )
-from .environment import Experiment, JointPrior, _ratio_test
+from .environment import JointPrior, _ratio_test
 from .errors import AttnMarketError, SubsetSpaceTooLarge
 from .tolerance import SLACK_TOL
 
@@ -107,19 +107,20 @@ def check_assumption2(dp: DecisionProblem, prior: JointPrior,
 def _garble(prior: JointPrior, joint: np.ndarray, others: list, rng):
     """One random garbled belief: composed binary-channel garblings of the
     ``others`` components, drawn from the prior's joint of the sender
-    components ``joint``.  Returns one likelihood vector per sender (ones
-    where she is not garbled) and the belief's joint of the sender
-    components, up to scale."""
+    components ``joint``, each a noisy indicator of a random set of value
+    indices.  Returns one likelihood vector per sender (ones where she is
+    not garbled) and the belief's joint of the sender components, up to
+    scale."""
     n = prior.n_senders
     liks = [np.ones(k) for k in prior.shape[1:]]
     for _ in range(rng.integers(1, 4)):
         j = int(rng.choice(others))
-        space = prior.spaces[j]
-        split = int(rng.integers(1, space.size))
-        one_values = {space.values[v] for v in
-                      rng.choice(space.size, size=split, replace=False)}
-        kernel = Experiment.binary_channel(
-            space, one_values, flip_prob=float(rng.uniform(0.05, 0.45))).kernel
+        size = prior.shape[j]
+        ones = rng.choice(size, size=int(rng.integers(1, size)), replace=False)
+        p1 = np.full(size, float(rng.uniform(0.05, 0.45)))
+        p1[ones] = 1.0 - p1[ones]
+        kernel = np.stack([1.0 - p1, p1], axis=1)
+        kernel /= kernel.sum(axis=1, keepdims=True)  # as Experiment does
         dist = joint.sum(axis=tuple(k for k in range(n) if k != j - 1)) @ kernel
         lik = kernel[:, int(rng.choice(2, p=dist / dist.sum()))]
         liks[j - 1] = liks[j - 1] * lik
@@ -129,11 +130,11 @@ def _garble(prior: JointPrior, joint: np.ndarray, others: list, rng):
 
 def _sender_tables(eu: np.ndarray, joint: np.ndarray, sender: int) -> tuple:
     """The tables that score a garbled belief for ``sender`` where nothing
-    is revealed, from the prior's per-value ``eu`` (actions x k_1 x ... x
-    k_n) and ``joint`` (k_1 x ... x k_n).  With ``w`` the belief's weight
-    on the competitors' joint (R = the product of their k_j, in axis
-    order), ``E @ w`` is her per-value expected utility times P (E:
-    actions x k_i x R), ``D @ w`` is H_i and ``M @ w`` is P."""
+    is revealed, from the prior's per-value ``eu`` (actions + 1 x k_1 x
+    ... x k_n) and ``joint`` (k_1 x ... x k_n).  With ``w`` the belief's
+    weight on the competitors' joint (R = the product of their k_j, in
+    axis order), ``E @ w`` is her per-value ``eu`` (E: actions + 1 x k_i x
+    R), ``D @ w`` is H_i and ``M @ w`` is P."""
     own = np.moveaxis(eu, sender, 1)
     E = np.ascontiguousarray(own).reshape(own.shape[:2] + (-1,))
     D = _residual_terms(eu, sender).sum(axis=sender - 1).ravel()

@@ -21,7 +21,7 @@ from .environment import (
     condition_on_components,
 )
 from .errors import UnknownComponent
-from .tolerance import SLACK_TOL
+from .tolerance import ROUNDING, SLACK_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,12 +84,17 @@ def _expected_utilities(dp: DecisionProblem, mass: np.ndarray,
     """E[u(a, omega)] per action under an (unnormalized) mass array, or per
     action and sender-value combination.  No actions x joint array is
     built: the payoff axis is contracted against the utility table, and
-    sender axes on which the utility varies are batch axes."""
+    sender axes on which the utility varies are batch axes.  Per sender
+    values, a last row follows the actions: the expected value of the
+    constant max|u|, P max|u|, the scale of their rounding, which sums
+    and reweights along with them."""
     _check_table(dp, mass)
     n = mass.ndim - 1
     u = dp.utility
     kept = [k for k in range(n + 1) if u.shape[1 + k] > 1]
     u = u.reshape((u.shape[0],) + tuple(u.shape[1 + k] for k in kept))
+    if per_sender_values:
+        u = np.concatenate([u, np.full((1,) + u.shape[1:], np.abs(u).max())])
     out = [n + 1] + (list(range(1, n + 1)) if per_sender_values else [])
     return np.einsum(u, [n + 1] + kept, mass, list(range(n + 1)), out,
                      optimize=True)
@@ -149,7 +154,12 @@ class _Lattice:
     values and whose last slot, ``-1``, means "not yet revealed".  Entries
     are weighted by the node's mass, so completions add up by plain sums
     (the zeta transform over the subset lattice): ``mass`` is P, ``eu``
-    the expected utility per action times P, ``value`` W = max_a eu.
+    the expected utility per action times P, then P max|u|, ``value`` W
+    = max_a eu.  A term of G_i at a value of hers that is at most
+    ``ROUNDING`` times its P max|u| is 0, so actions that tie exactly but
+    round an ulp apart give the rate ``inf``, not about 1e14.  Only rates
+    far above 1 (the episode engine caps them at 1) move, and a sender
+    payoff by less than that threshold over the cost.
     """
 
     def __init__(self, dp: DecisionProblem, mass: np.ndarray):
@@ -157,7 +167,7 @@ class _Lattice:
         eu = _expected_utilities(dp, mass, per_sender_values=True)
         self.eu = _star(eu, range(1, n + 1))
         self.mass = _star(mass.sum(axis=0), range(n))
-        self.value = self.eu.max(axis=0)
+        self.value = self.eu[:-1].max(axis=0)
         # W summed per revealed set: one [unrevealed, revealed] axis per sender
         c = self.value
         for _ in range(n):
@@ -197,17 +207,18 @@ class _Lattice:
     def gain(self, sender: int) -> np.ndarray:
         """G_i where the sender is unrevealed (her axis kept with size 1):
         the sum over her values of max_a EU - EU of the node's best action.
-        Every term is >= 0, so G_i is exactly 0 where no value of hers
-        changes the action."""
+        Every term is >= 0, and 0 up to rounding counts as 0, so G_i is
+        exactly 0 where no value of hers changes the action."""
         if sender not in self._gains:
             if not 1 <= sender <= self.n:
                 raise UnknownComponent(f"sender index {sender} out of range")
             eu = np.moveaxis(self.eu, sender, -1)
-            best = eu[..., -1:].argmax(axis=0)
-            stay = np.take_along_axis(eu[..., :-1], best[None], axis=0)[0]
+            best = eu[:-1, ..., -1:].argmax(axis=0)
+            stay = np.take_along_axis(eu[:-1, ..., :-1], best[None], axis=0)[0]
             value = np.moveaxis(self.value, sender - 1, -1)[..., :-1]
+            terms = _snap(value - stay, eu[-1, ..., :-1])
             self._gains[sender] = np.moveaxis(
-                (value - stay).sum(axis=-1, keepdims=True), -1, sender - 1)
+                terms.sum(axis=-1, keepdims=True), -1, sender - 1)
         return self._gains[sender]
 
     def residual(self, sender: int) -> np.ndarray:
@@ -223,8 +234,8 @@ class _Lattice:
 def _root_values(eu: np.ndarray, sender: int) -> tuple:
     """G_i and H_i where no sender is revealed, as ``_Lattice.gain`` and
     ``_Lattice.residual`` give them there, from the per-value expected
-    utilities times P (actions x k_1 x ... x k_n) without a lattice.  Its
-    sums run one axis at a time, in increasing order, on the memory layout
+    utilities times P and P max|u| (actions + 1 x k_1 x ... x k_n)
+    without a lattice.  Its sums run one axis at a time, in increasing order, on the memory layout
     of ``eu`` (which ``_star``'s concatenations keep), as the lattice's do:
     the terms are the lattice's bit for bit, each >= 0, so G_i and H_i are
     exactly 0 where the lattice's are."""
@@ -239,20 +250,27 @@ def _root_values(eu: np.ndarray, sender: int) -> tuple:
     return gain, _residual_terms(eu, sender).sum()
 
 
+def _snap(terms: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """The terms, with 0 up to rounding (see ``_Lattice``) set to 0."""
+    return np.where(terms > ROUNDING * scale, terms, 0.0)
+
+
 def _own_gain(own: np.ndarray) -> float:
     """G_i where nothing is revealed, from her per-value expected utilities
-    times P (actions x k_i): her values against the best action before
-    any is seen."""
-    return (own.max(axis=0) - own[own.sum(axis=1).argmax()]).sum()
+    times P and P max|u| (actions + 1 x k_i): her values against the
+    best action before any is seen."""
+    eu = own[:-1]
+    return _snap(eu.max(axis=0) - eu[eu.sum(axis=1).argmax()], own[-1]).sum()
 
 
 def _residual_terms(eu: np.ndarray, sender: int) -> np.ndarray:
     """The terms of H_i at the root, one per joint value (k_1 x ... x k_n):
     max_a EU - EU of the action that is best at her completion w_{-i}.
     Each is >= 0, and exactly 0 where her value does not change it."""
+    eu, scale = eu[:-1], eu[-1]
     best = eu.sum(axis=sender, keepdims=True).argmax(axis=0)[None]
     stay = np.take_along_axis(eu, best, axis=0)[0]
-    return eu.max(axis=0) - stay
+    return _snap(eu.max(axis=0) - stay, scale)
 
 
 def _revealed_labels(prior: JointPrior, rows: np.ndarray):

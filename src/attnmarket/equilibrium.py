@@ -38,11 +38,6 @@ class StateNode:
     def assignment(self) -> dict:
         return dict(zip(self.revealed, self.values))
 
-    def label(self) -> str:
-        if not self.revealed:
-            return "prior"
-        return ",".join(f"{i}={v}" for i, v in zip(self.revealed, self.values))
-
 
 class StateGraph:
     """Reachable exact-revelation states of an environment, as arrays over
@@ -61,7 +56,7 @@ class StateGraph:
         self.ids = np.full(lattice.mass.shape, -1)
         self.ids[at] = np.arange(len(self.cells))
         self.stopping_values = lattice.value[at] / lattice.mass[at]
-        self.stop_actions = lattice.eu[(slice(None),) + at].argmax(axis=0)
+        self.stop_actions = lattice.eu[(slice(-1),) + at].argmax(axis=0)
         n = prior.n_senders
         by_mask = [tuple(i for i in range(1, n + 1) if not mask >> (i - 1) & 1)
                    for mask in range(1 << n)]

@@ -417,31 +417,32 @@ def monte_carlo(dp, prior, cost, sender_policies, receiver_policy,
                 graph: StateGraph | None = None) -> MonteCarloSummary:
     """Run independent replications and summarize visits and payoffs."""
     return _replicate(dp, prior, cost, sender_policies, receiver_policy,
-                      replications, seed, round_cap, graph)
+                      replications, seed, round_cap, graph)[0]
 
 
 def _replicate(dp, prior, cost, sender_policies, receiver_policy,
                replications, seed, round_cap=DEFAULT_ROUND_CAP, graph=None,
-               traced=0, each=None) -> MonteCarloSummary:
+               traced=0) -> tuple:
     """The replication loop behind ``monte_carlo`` and the ``simulate``
     command: episode k plays on row k of the seed's stream
-    (``episode_rng``), the first ``traced`` episodes keep their per-round
-    records, and ``each(k, trace)`` sees every episode."""
+    (``episode_rng``).  Returns the summary, one row per episode (rounds,
+    cost, action, payoff, then the visits to each sender) and the traces
+    of the first ``traced`` episodes, with their per-round records."""
     if replications < 1:
         raise ValueError("need at least one replication")
     runner = _Runner(dp, prior, cost, sender_policies, receiver_policy,
                      graph=graph, round_cap=round_cap)
     n, width, play = prior.n_senders, runner.width, runner.play
-    visits = np.empty((replications, n))
-    payoffs = np.empty(replications)
-    stopping = Counter()
+    rows, traces = [], []
     for k in range(replications):
         trace = play(episode_rng(seed, k, width), k < traced)
-        visits[k] = tuple(trace.visits.values())
-        payoffs[k] = trace.payoff
-        stopping[trace.total_rounds] += 1
-        if each is not None:
-            each(k, trace)
+        rows.append((trace.total_rounds, trace.cost, trace.action,
+                     trace.payoff, *trace.visits.values()))
+        if k < traced:
+            traces.append(trace)
+    visits = np.fromiter((v for row in rows for v in row[4:]), float,
+                         replications * n).reshape(replications, n)
+    payoffs = np.fromiter((row[3] for row in rows), float, replications)
     root = replications ** 0.5
 
     def se(arr):
@@ -455,8 +456,8 @@ def _replicate(dp, prior, cost, sender_policies, receiver_policy,
         mean_receiver_payoff=float(payoffs.mean()),
         se_receiver_payoff=se(payoffs),
         mean_rounds=float(visits.sum(axis=1).mean()),
-        stopping_times=stopping,
-    )
+        stopping_times=Counter(row[0] for row in rows),
+    ), rows, traces
 
 
 # -- hold-up demonstration ----------------------------------------------------

@@ -379,6 +379,20 @@ def test_simulate_bad_order(scenario_dir, tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("scenario, order", [("coin_match", "bogus"),
+                                             ("pair_guess", "perm:1,1")])
+def test_simulate_refuses_a_bad_order_before_any_work(scenario_dir, tmp_path,
+                                                      capsys, scenario, order):
+    """A bad receiver order is an input error, found before the condition
+    checks run and before the output directory is made."""
+    out = tmp_path / "out"
+    code = run(["simulate", "--scenario", str(scenario_dir / f"{scenario}.yaml"),
+                "--receiver-order", order, "--out", str(out)])
+    assert code == 1
+    assert "input error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--replications", "--round-cap"])
 def test_simulate_rejects_zero_counts(scenario_dir, tmp_path, flag):
     code = run(["simulate", "--scenario",
@@ -578,6 +592,46 @@ def test_out_dir_env_var(scenario_dir, tmp_path, monkeypatch):
                 str(scenario_dir / "gaussian_symmetric.yaml")])
     assert code == 0
     assert (target / "gaussian_rates.csv").exists()
+
+
+OUTPUT_RUNS = {
+    "check": ["check", "--scenario", "pair_guess.yaml"],
+    "solve-finite": ["solve", "--scenario", "pair_guess.yaml"],
+    "solve-gaussian-pc": ["solve", "--scenario", "gaussian_correlated.yaml"],
+    "simulate": ["simulate", "--scenario", "pair_guess.yaml",
+                 "--replications", "20"],
+    "simulate-traced": ["simulate", "--scenario", "pair_guess.yaml",
+                        "--replications", "20", "--trace-episodes", "3"],
+    "sweep-large-n": ["sweep", "--sweep-kind", "large-n", "--n-max", "5"],
+    "sweep-large-n-finite": ["sweep", "--sweep-kind", "large-n", "--finite",
+                             "--n-max", "8"],
+    "sweep-alpha": ["sweep", "--sweep-kind", "alpha"],
+    "sweep-symmetry": ["sweep", "--sweep-kind", "symmetry"],
+    "sweep-bridge": ["sweep", "--sweep-kind", "bridge", "--mc-samples", "50"],
+}
+
+
+@pytest.mark.parametrize("argv", OUTPUT_RUNS.values(), ids=OUTPUT_RUNS)
+def test_report_lists_every_file_in_write_order(scenario_dir, tmp_path, capsys,
+                                                argv):
+    """``report.json`` names the files written before it, in write order;
+    with it they are the output directory, and standard output names
+    each, in the same order (``check`` prints only its report)."""
+    out = tmp_path / "out"
+    argv = [str(scenario_dir / a) if a.endswith(".yaml") else a for a in argv]
+    assert run(argv + ["--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    written = [out / name for name in report["files"]] + [out / "report.json"]
+    assert sorted(out.iterdir()) == sorted(written)
+    stamps = [path.stat().st_mtime_ns for path in written]
+    assert stamps == sorted(stamps)
+    lines = capsys.readouterr().out.splitlines()
+    if argv[0] == "check":
+        assert [line for line in lines if line.startswith(("wrote", "report"))] \
+            == [f"report: {written[-1]}"]
+    else:
+        assert [line for line in lines if line.startswith("wrote")] \
+            == [f"wrote {path}" for path in written]
 
 
 # -- report.json emitter ------------------------------------------------------------

@@ -1,4 +1,6 @@
+import functools
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from attnmarket.environment import (
     condition_on_components,
 )
 from attnmarket import presets
+from attnmarket.equilibrium import aon_rates
 
 
 # -- stopping and full-information utility --------------------------------------
@@ -351,6 +354,102 @@ def test_root_kernel_matches_lattice(problem):
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
             if want == 0.0:
                 assert got == 0.0
+
+
+# -- exact zeros at exact ties ------------------------------------------------------
+
+@st.composite
+def tie_heavy_problems(draw):
+    """Environments whose actions tie exactly at many beliefs: payoffs in
+    halves from -2 to 2 on tables that ignore some axes, integer masses
+    with zero cells, and the sender axes in a random order (which changes
+    the order of the program's sums).  Returns the integer masses and the
+    utility table."""
+    n = draw(st.integers(2, 3))
+    sizes = [draw(st.integers(1, 3))] + [draw(st.integers(1, 3))
+                                         for _ in range(n)]
+    weights = draw(st.lists(st.integers(0, 4), min_size=int(np.prod(sizes)),
+                            max_size=int(np.prod(sizes))).filter(any))
+    shape = [draw(st.integers(2, 3))] + [s if draw(st.booleans()) else 1
+                                         for s in sizes]
+    halves = draw(st.lists(st.integers(-4, 4), min_size=int(np.prod(shape)),
+                           max_size=int(np.prod(shape))))
+    order = [0] + [k + 1 for k in draw(st.permutations(range(n)))]
+    weights = np.asarray(weights).reshape(sizes).transpose(order)
+    utility = (np.asarray(halves) / 2).reshape(shape).transpose(
+        [0] + [k + 1 for k in order])
+    return weights, utility
+
+
+def _exact_gains(weights, utility):
+    """G_i and H_i, times the total mass, at every node with mass, in exact
+    rationals: {(node, i): (G, H)}, a node giving each sender's value
+    index or -1 while unrevealed."""
+    shape = weights.shape
+    u = np.broadcast_to(utility, utility.shape[:1] + shape)
+    actions = range(utility.shape[0])
+    cells = {}
+    for cell in itertools.product(*map(range, shape[1:])):
+        states = [(int(weights[(s,) + cell]), s) for s in range(shape[0])]
+        cells[cell] = (sum(m for m, _ in states),
+                       [sum(Fraction(float(u[(a, s) + cell])) * m
+                            for m, s in states) for a in actions])
+
+    @functools.cache
+    def at(node):
+        inside = [cells[c] for c in cells
+                  if all(v < 0 or v == c[j] for j, v in enumerate(node))]
+        return (sum(m for m, _ in inside),
+                [sum(eu[a] for _, eu in inside) for a in actions])
+
+    def gain(node, i):
+        values = [at(node[:i - 1] + (v,) + node[i:])[1]
+                  for v in range(shape[i])]
+        return sum(max(eu) for eu in values) - max(at(node)[1])
+
+    out = {}
+    for node in itertools.product(*(range(-1, k) for k in shape[1:])):
+        if at(node)[0] == 0:
+            continue
+        for i in (j for j, v in enumerate(node, 1) if v < 0):
+            others = [j for j, v in enumerate(node, 1) if v < 0 and j != i]
+            residual = 0
+            for values in itertools.product(*(range(shape[j])
+                                              for j in others)):
+                full = list(node)
+                for j, v in zip(others, values):
+                    full[j - 1] = v
+                if at(tuple(full))[0]:
+                    residual += gain(tuple(full), i)
+            out[node, i] = (gain(node, i), residual)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_problems())
+def test_exact_ties_give_exact_zero_gains_and_infinite_rates(problem):
+    """Wherever G_i or H_i is 0 in exact arithmetic, the lattice, the root
+    kernel and the rate table give exactly 0 and ``inf``; elsewhere they
+    give positive values and finite rates."""
+    weights, utility = problem
+    spaces = [ComponentSpace(k, tuple(range(size)))
+              for k, size in enumerate(weights.shape)]
+    prior = JointPrior(spaces, weights / weights.sum())
+    dp = DecisionProblem(tuple(f"a{j}" for j in range(len(utility))),
+                         utility)
+    lattice = _Lattice(dp, prior.mass)
+    profile = aon_rates(dp, prior, 0.1, force=True)
+    root = (-1,) * prior.n_senders
+    for (node, i), (gain, residual) in _exact_gains(weights, utility).items():
+        assert (lattice.gain(i)[node] == 0.0) == (gain == 0)
+        assert (lattice.residual(i)[node] == 0.0) == (residual == 0)
+        rate = profile.rate(int(profile.graph.ids[node]), i)
+        assert (rate == np.inf) == (residual == 0)
+        if node == root:
+            belief = prior.belief()
+            assert (full_reveal_value(dp, belief, i) == 0.0) == (gain == 0)
+            assert ((expected_residual_value(dp, belief, i) == 0.0)
+                    == (residual == 0))
 
 
 def test_revealed_labels_name_each_revealed_sender():
