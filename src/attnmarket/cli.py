@@ -389,7 +389,8 @@ def _parse_gaussian(block) -> dict:
 @dataclass
 class RunReport:
     """One run's outputs: the files it writes into ``out`` (by default
-    ``$ATTNMARKET_OUT``, else ``out``), in write order, then
+    ``$ATTNMARKET_OUT``, else ``out``, made with the first file, so that a
+    run that fails first leaves no directory), in write order, then
     ``report.json``, which names them and leaves out the wall clock, so
     that reports are byte-stable across reruns."""
 
@@ -403,16 +404,19 @@ class RunReport:
 
     def __post_init__(self):
         self.out = self.out or os.environ.get(OUT_ENV_VAR) or "out"
+
+    def _path(self, name) -> str:
         os.makedirs(self.out, exist_ok=True)
+        return os.path.join(self.out, name)
 
     def csv(self, name, header, rows):
-        path = os.path.join(self.out, name)
+        path = self._path(name)
         write_csv(path, header, rows)
         self.files.append(path)
 
     def write(self) -> str:
         """Write ``report.json``, listing the files written before it."""
-        path = os.path.join(self.out, "report.json")
+        path = self._path("report.json")
         with open(path, "w") as fh:
             write_json(fh, {
                 "command": self.command,
@@ -624,11 +628,7 @@ def cmd_simulate(args) -> int:
     return report.finish()
 
 
-def cmd_sweep(args) -> int:
-    kind = args.sweep_kind
-    if kind == "large-n" and args.n_max < 1:
-        raise ScenarioError(f"--n-max must be at least 1, got {args.n_max}")
-    report = RunReport("sweep", kind, args.out)
+def _sweep(kind, args, report):
     if kind == "large-n" and args.finite:
         env = default_environment(accuracy=args.accuracy,
                                   abstain_utility=args.abstain)
@@ -637,12 +637,12 @@ def cmd_sweep(args) -> int:
                                         seed=args.seed)
         errors = decision_error_curve(env, ns, allow_sampling=True,
                                       seed=args.seed)
+        fit = fit_exponential_rate(residual)  # fails before any file
         report.csv("large_market.csv", ["n", "residual_value",
                                         "scaled_residual", "decision_error",
                                         "mode"],
                    [(rv.n, rv.value, rv.scaled, de.value, rv.mode)
                     for rv, de in zip(residual, errors)])
-        fit = fit_exponential_rate(residual)
         report.summary = {
             "n_max": args.n_max,
             "terminal_scaled_residual": residual[-1].scaled,
@@ -694,6 +694,17 @@ def cmd_sweep(args) -> int:
         report.csv("bridge.csv", header, zip(*columns))
     else:
         raise ScenarioError(f"unknown sweep kind {kind!r}")
+
+
+def cmd_sweep(args) -> int:
+    kind = args.sweep_kind
+    if kind == "large-n" and args.n_max < 1:
+        raise ScenarioError(f"--n-max must be at least 1, got {args.n_max}")
+    report = RunReport("sweep", kind, args.out)
+    try:  # a flag value that the library refuses is an input error
+        _sweep(kind, args, report)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
     return report.finish()
 
 

@@ -17,6 +17,8 @@ the competitors' joint, the terms of H_i summed over her values, and the
 mass summed over her values.  A sample keeps only its likelihood vectors
 and its joint of the sender components, and is scored from three
 products with ``w``: no lattice and no payoff x senders array per sample.
+H_i's terms in the tables and G_i's per sample come from
+``decision._gain_terms``, the kernel of the lattice's G_i.
 Before it is scored, the sample's joint is certified against the
 prior's by ``environment._ratio_test``, the cross-multiplication test of
 ``no_direct_info``, whose prior side is gathered once per sender.
@@ -32,9 +34,8 @@ import numpy as np
 
 from .decision import (
     DecisionProblem,
+    _gain_terms,
     _Lattice,
-    _own_gain,
-    _residual_terms,
     _revealed_labels,
 )
 from .environment import JointPrior, _ratio_test
@@ -137,7 +138,8 @@ def _sender_tables(eu: np.ndarray, joint: np.ndarray, sender: int) -> tuple:
     R), ``D @ w`` is H_i and ``M @ w`` is P."""
     own = np.moveaxis(eu, sender, 1)
     E = np.ascontiguousarray(own).reshape(own.shape[:2] + (-1,))
-    D = _residual_terms(eu, sender).sum(axis=sender - 1).ravel()
+    terms = _gain_terms(eu, eu.sum(axis=sender, keepdims=True))
+    D = terms.sum(axis=sender - 1).ravel()
     return E, D, joint.sum(axis=sender - 1).ravel()
 
 
@@ -200,10 +202,12 @@ def check_substitutes(dp: DecisionProblem, prior: JointPrior,
                 raise AttnMarketError(f"garbled belief for sender {i} carries "
                                       "direct information from her own "
                                       "component")
-            w = functools.reduce(np.multiply.outer, liks[:i - 1] + liks[i:])
-            w = w.ravel()
-            _score_substitutes(report, i, "garbled", _own_gain(E @ w), D @ w,
-                               M @ w, lambda k: None)
+            w = functools.reduce(np.multiply.outer,
+                                 liks[:i - 1] + liks[i:]).ravel()
+            own = E @ w
+            gain = _gain_terms(own, own.sum(axis=1, keepdims=True)).sum()
+            _score_substitutes(report, i, "garbled", gain, D @ w, M @ w,
+                               lambda k: None)
     return report
 
 

@@ -155,11 +155,8 @@ class _Lattice:
     are weighted by the node's mass, so completions add up by plain sums
     (the zeta transform over the subset lattice): ``mass`` is P, ``eu``
     the expected utility per action times P, then P max|u|, ``value`` W
-    = max_a eu.  A term of G_i at a value of hers that is at most
-    ``ROUNDING`` times its P max|u| is 0, so actions that tie exactly but
-    round an ulp apart give the rate ``inf``, not about 1e14.  Only rates
-    far above 1 (the episode engine caps them at 1) move, and a sender
-    payoff by less than that threshold over the cost.
+    = max_a eu.  ``gain`` takes G_i's terms from ``_gain_terms``, the
+    kernel that the garbled-belief tables of ``conditions`` share.
     """
 
     def __init__(self, dp: DecisionProblem, mass: np.ndarray):
@@ -213,10 +210,8 @@ class _Lattice:
             if not 1 <= sender <= self.n:
                 raise UnknownComponent(f"sender index {sender} out of range")
             eu = np.moveaxis(self.eu, sender, -1)
-            best = eu[:-1, ..., -1:].argmax(axis=0)
-            stay = np.take_along_axis(eu[:-1, ..., :-1], best[None], axis=0)[0]
             value = np.moveaxis(self.value, sender - 1, -1)[..., :-1]
-            terms = _snap(value - stay, eu[-1, ..., :-1])
+            terms = _gain_terms(eu[..., :-1], eu[..., -1:], value)
             self._gains[sender] = np.moveaxis(
                 terms.sum(axis=-1, keepdims=True), -1, sender - 1)
         return self._gains[sender]
@@ -231,46 +226,27 @@ class _Lattice:
         return self._residuals[sender]
 
 
-def _root_values(eu: np.ndarray, sender: int) -> tuple:
-    """G_i and H_i where no sender is revealed, as ``_Lattice.gain`` and
-    ``_Lattice.residual`` give them there, from the per-value expected
-    utilities times P and P max|u| (actions + 1 x k_1 x ... x k_n)
-    without a lattice.  Its sums run one axis at a time, in increasing order, on the memory layout
-    of ``eu`` (which ``_star``'s concatenations keep), as the lattice's do:
-    the terms are the lattice's bit for bit, each >= 0, so G_i and H_i are
-    exactly 0 where the lattice's are."""
-    n = eu.ndim - 1
-    if not 1 <= sender <= n:
-        raise UnknownComponent(f"sender index {sender} out of range")
-    # G_i: her values against the best action before any is seen
-    own = eu
-    for ax in (k for k in range(1, n + 1) if k != sender):
-        own = own.sum(axis=ax, keepdims=True)
-    gain = _own_gain(own.reshape(len(own), -1))
-    return gain, _residual_terms(eu, sender).sum()
+def _gain_terms(eu: np.ndarray, total: np.ndarray,
+                value: np.ndarray = None) -> np.ndarray:
+    """The terms of G_i, one per value of hers: max_a EU - EU of the action
+    that is best in ``total``.  ``eu`` holds the expected utilities per
+    action times P, then P max|u|, with her values on one axis; ``total``
+    is ``eu`` summed over that axis (kept with size 1); ``value`` is max_a
+    EU where the caller has it.  Each term is >= 0, and one at most
+    ``ROUNDING`` times its P max|u| is 0, so actions that tie exactly but
+    round an ulp apart give G_i = 0 and the rate ``inf``, not about 1e14.
+    Only rates far above 1 (the episode engine caps them at 1) move, and a
+    sender payoff by less than that threshold over the cost."""
+    best = total[:-1].argmax(axis=0)[None]
+    stay = np.take_along_axis(eu[:-1], best, axis=0)[0]
+    if value is None:
+        value = eu[:-1].max(axis=0)
+    return _snap(value - stay, eu[-1])
 
 
 def _snap(terms: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """The terms, with 0 up to rounding (see ``_Lattice``) set to 0."""
+    """The terms, with 0 up to rounding (see ``_gain_terms``) set to 0."""
     return np.where(terms > ROUNDING * scale, terms, 0.0)
-
-
-def _own_gain(own: np.ndarray) -> float:
-    """G_i where nothing is revealed, from her per-value expected utilities
-    times P and P max|u| (actions + 1 x k_i): her values against the
-    best action before any is seen."""
-    eu = own[:-1]
-    return _snap(eu.max(axis=0) - eu[eu.sum(axis=1).argmax()], own[-1]).sum()
-
-
-def _residual_terms(eu: np.ndarray, sender: int) -> np.ndarray:
-    """The terms of H_i at the root, one per joint value (k_1 x ... x k_n):
-    max_a EU - EU of the action that is best at her completion w_{-i}.
-    Each is >= 0, and exactly 0 where her value does not change it."""
-    eu, scale = eu[:-1], eu[-1]
-    best = eu.sum(axis=sender, keepdims=True).argmax(axis=0)[None]
-    stay = np.take_along_axis(eu, best, axis=0)[0]
-    return _snap(eu.max(axis=0) - stay, scale)
 
 
 def _revealed_labels(prior: JointPrior, rows: np.ndarray):
@@ -283,16 +259,10 @@ def _revealed_labels(prior: JointPrior, rows: np.ndarray):
                       for j, v in enumerate(cells[k], 1) if v >= 0}
 
 
-def _revealed_values(prior: JointPrior, cell) -> dict:
-    """Value labels of the senders that a lattice node reveals."""
-    return {j: prior.spaces[j].values[v] for j, v in enumerate(cell, 1)
-            if v >= 0}
-
-
 def full_reveal_value(dp: DecisionProblem, belief: Belief, sender: int) -> float:
     """Value of learning one sender's component exactly at this belief."""
-    eu = _expected_utilities(dp, belief.mass, per_sender_values=True)
-    return float(_root_values(eu, sender)[0])
+    lattice = _Lattice(dp, belief.mass)
+    return float(lattice.gain(sender)[(-1,) * lattice.n])
 
 
 def full_reveal_value_given(dp: DecisionProblem, prior: JointPrior,
@@ -324,5 +294,5 @@ def coalition_value(dp: DecisionProblem, prior: JointPrior, subset) -> float:
 def expected_residual_value(dp: DecisionProblem, source, sender: int) -> float:
     """E over the other senders' components of the residual value of this
     sender's component:  E_{w_{-i}}[ vbar(w_i | w_{-i}) ]."""
-    eu = _expected_utilities(dp, source.mass, per_sender_values=True)
-    return float(_root_values(eu, sender)[1])
+    lattice = _Lattice(dp, source.mass)
+    return float(lattice.residual(sender)[(-1,) * lattice.n])

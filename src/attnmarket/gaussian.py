@@ -101,6 +101,8 @@ def symmetry_gap(p0: float, total_sender_precision: float, n: int, c: float,
     compare against the equal split (which should be the maximum)."""
     if total_sender_precision <= 0 or n < 1:
         raise ValueError("need positive total precision and at least one sender")
+    if grid_step <= 0:
+        raise ValueError(f"grid step must be positive, got {grid_step}")
     units = int(round(total_sender_precision / grid_step))
     allocations = []
     for combo in itertools.combinations(range(1, units), n - 1):
@@ -197,6 +199,8 @@ def bridge_schedule(p: float, c: float, grid_points: int = 11) -> BridgeSchedule
     time 1/(p*c)."""
     if p <= 0 or c <= 0:
         raise ValueError("precision and cost must be positive")
+    if grid_points < 2:
+        raise ValueError(f"need at least 2 grid points, got {grid_points}")
     final = 1.0 / (p * c)
     times = np.linspace(0.0, final, grid_points)
     return BridgeSchedule(p, c, final, times, 1.0 / p - c * times)
@@ -223,6 +227,8 @@ def bridge_mc_check(p: float, c: float, samples: int = 10_000, seed: int = 0,
     posterior variance directly.  Increments use the exact bridge
     covariance, making the discretization bias nil at grid times.
     """
+    if samples < 2:  # a standard error needs two samples
+        raise ValueError(f"need at least 2 samples, got {samples}")
     schedule = bridge_schedule(p, c, grid_points)
     T = schedule.final_time
     rng = np.random.default_rng(np.random.SeedSequence(seed))

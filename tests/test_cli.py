@@ -328,6 +328,18 @@ def test_solve_gaussian(scenario_dir, tmp_path):
     assert values["receiver_payoff"] == pytest.approx(-2 / 3)
 
 
+def test_solve_gaussian_without_cost_leaves_no_directory(scenario_dir,
+                                                          tmp_path, capsys):
+    text = (scenario_dir / "gaussian_symmetric.yaml").read_text()
+    scenario = tmp_path / "no_cost.yaml"
+    scenario.write_text(text.replace("cost: 0.01\n", ""))
+    out = tmp_path / "out"
+    code = run(["solve", "--scenario", str(scenario), "--out", str(out)])
+    assert code == 1
+    assert "missing 'cost'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_gaussian_correlated(scenario_dir, tmp_path):
     run(["solve", "--scenario",
          str(scenario_dir / "gaussian_correlated.yaml"),
@@ -525,6 +537,34 @@ def test_sweep_large_n_rejects_n_max_below_one(tmp_path, capsys, finite):
                 "--out", str(out)] + (["--finite"] if finite else []))
     assert code == 1
     assert "--n-max" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_large_n_finite_failed_fit_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run(["sweep", "--sweep-kind", "large-n", "--finite",
+                "--n-max", "4", "--out", str(out)])
+    assert code == 1
+    assert "tail entries" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["alpha", "--pc", "-1"],
+    ["large-n", "--cost", "0"],
+    ["symmetry", "--senders", "0"],
+    ["symmetry", "--grid-step", "0"],
+    ["bridge", "--mc-samples", "10", "--grid-points", "7"],
+    ["large-n", "--finite", "--accuracy", "1.5"],
+    ["bridge", "--grid-points", "0"],
+    ["bridge", "--mc-samples", "1"],
+])
+def test_sweep_bad_flag_is_input_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code = run(["sweep", "--sweep-kind"] + argv + ["--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
     assert not out.exists()
 
 

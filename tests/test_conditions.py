@@ -343,13 +343,19 @@ def test_substitutes_sampling_skips_degenerate_components():
 
 # -- garbled layer against one lattice per sample -----------------------------------
 
+def _revealed_values(prior, cell):
+    """Value labels of the senders that a lattice node reveals."""
+    return {j: prior.spaces[j].values[v] for j, v in enumerate(cell, 1)
+            if v >= 0}
+
+
 def _per_sample_lattice_report(dp, prior, samples, seed):
     """`check_substitutes` scoring each garbled belief on its own full
     lattice, the belief built by `update` one garbling at a time from the
-    same draws: the judge of the root-kernel scoring."""
+    same draws: the judge of the scoring from the per-sender tables."""
     import numpy as np
     from attnmarket.conditions import ConditionReport, _score_substitutes
-    from attnmarket.decision import _Lattice, _revealed_values
+    from attnmarket.decision import _Lattice
     from attnmarket.environment import Experiment, update
     report = ConditionReport("substitutes", holds=True, margin=np.inf)
     rng = np.random.default_rng(seed)

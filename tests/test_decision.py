@@ -11,10 +11,9 @@ import oracle
 from attnmarket.decision import (
     DecisionProblem,
     ValueReport,
-    _expected_utilities,
     _Lattice,
+    _gain_terms,
     _revealed_labels,
-    _root_values,
     coalition_value,
     expected_conditioned_value,
     expected_residual_value,
@@ -32,6 +31,7 @@ from attnmarket.environment import (
     condition_on_components,
 )
 from attnmarket import presets
+from attnmarket.conditions import _sender_tables
 from attnmarket.equilibrium import aon_rates
 
 
@@ -303,7 +303,7 @@ def test_experiment_value_nonnegative_and_bounded(problem):
     assert value <= report.full_info_value - report.stopping_value + 1e-10
 
 
-# -- the root kernel against the lattice ---------------------------------------------
+# -- the garbled tables at the root against the lattice ----------------------------
 
 @st.composite
 def lattice_problems(draw):
@@ -342,15 +342,22 @@ def _exact_tie_problem():
 @given(lattice_problems())
 @example(_exact_tie_problem())
 def test_root_kernel_matches_lattice(problem):
+    """The garbled-belief tables at weight 1 (the prior itself) give the
+    lattice's G_i, H_i and P at the root, and 0 exactly where it does."""
     dp, mass = problem
     n = mass.ndim - 1
     lattice = _Lattice(dp, mass)
-    eu = _expected_utilities(dp, mass, per_sender_values=True)
+    values = (slice(None),) + (slice(-1),) * n
+    eu, joint = lattice.eu[values], lattice.mass[values[1:]]
     root = (-1,) * n
     for i in range(1, n + 1):
-        gain, residual = _root_values(eu, i)
+        E, D, M = _sender_tables(eu, joint, i)
+        one = np.ones(E.shape[-1])
+        own = E @ one
+        gain = _gain_terms(own, own.sum(axis=1, keepdims=True)).sum()
         for got, want in ((gain, lattice.gain(i)[root]),
-                          (residual, lattice.residual(i)[root])):
+                          (D @ one, lattice.residual(i)[root]),
+                          (M @ one, lattice.mass[root])):
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
             if want == 0.0:
                 assert got == 0.0
@@ -428,9 +435,9 @@ def _exact_gains(weights, utility):
 @settings(max_examples=300, deadline=None)
 @given(tie_heavy_problems())
 def test_exact_ties_give_exact_zero_gains_and_infinite_rates(problem):
-    """Wherever G_i or H_i is 0 in exact arithmetic, the lattice, the root
-    kernel and the rate table give exactly 0 and ``inf``; elsewhere they
-    give positive values and finite rates."""
+    """Wherever G_i or H_i is 0 in exact arithmetic, the lattice, the
+    library values at the root and the rate table give exactly 0 and
+    ``inf``; elsewhere they give positive values and finite rates."""
     weights, utility = problem
     spaces = [ComponentSpace(k, tuple(range(size)))
               for k, size in enumerate(weights.shape)]

@@ -242,6 +242,16 @@ def test_bridge_other_parameters():
     assert check.within
 
 
+@pytest.mark.parametrize("call", [
+    lambda: symmetry_gap(1.0, 2.0, 2, 0.01, grid_step=0.0),
+    lambda: bridge_schedule(1.0, 0.1, grid_points=1),
+    lambda: bridge_mc_check(1.0, 0.1, samples=1),
+], ids=["zero-step", "one-grid-point", "one-sample"])
+def test_sweeps_reject_degenerate_grids_and_samples(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 # -- competitive limit -------------------------------------------------------------------
 
 def test_large_n_unit_parameters_cost():
