@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import os
 import sys
 import time
 from dataclasses import dataclass, field
-from json.encoder import INFINITY, encode_basestring_ascii as _json_str
 
 import numpy as np
 import yaml
@@ -77,84 +77,74 @@ def write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _json_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == INFINITY:
-        return "Infinity"
-    if x == -INFINITY:
-        return "-Infinity"
-    return float.__repr__(x)
+_BLOCK = 256  # records per write, so a long list is never one string
 
 
-def _json_key(key) -> str:
-    """A dict key as json writes it: converted to a string, then quoted."""
-    if isinstance(key, str):
-        return _json_str(key)
-    if isinstance(key, float):
-        return '"' + _json_float(key) + '"'
-    if key is True:
-        return '"true"'
-    if key is False:
-        return '"false"'
-    if key is None:
-        return '"null"'
-    if isinstance(key, int):
-        return '"' + int.__repr__(key) + '"'
-    raise TypeError("keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
+def _flat(values) -> bool:
+    """Whether no value is a list, tuple or dict."""
+    return not any(issubclass(t, (dict, list, tuple))
+                   for t in set(map(type, values)))
+
+
+def _column(values, memo, pad):
+    """The json text of each of ``values``, all at indent ``pad``: scalars
+    in one pass of json's C encoder, any other value once per distinct
+    object, memoized in ``memo`` by ``id`` (not by value: 1, 1.0 and True
+    hash equal)."""
+    if _flat(values):
+        return json.dumps(values, separators=("\0", ": "))[1:-1].split("\0")
+    for o in values:
+        if id(o) not in memo:
+            parts = []
+            _emit(parts.append, o, pad)
+            memo[id(o)] = "".join(parts)
+    return map(memo.__getitem__, map(id, values))
+
+
+def _emit(write, o, pad):
+    """Write ``o`` as json at indent ``pad`` (a newline, then spaces).  A
+    value with no list, tuple or dict inside is written by json's C
+    encoder, a list of records (dicts with one set of ``str`` keys) column
+    by column in blocks of ``_BLOCK``, any other list as one column and any
+    other dict item by item."""
+    inner = pad + "  "
+    if not isinstance(o, (dict, list, tuple)) or not o:
+        write(json.dumps(o))
+    elif _flat(o.values() if isinstance(o, dict) else o):
+        text = json.dumps(o, sort_keys=True, separators=("," + inner, ": "))
+        write(text[0] + inner + text[1:-1] + pad + text[-1])
+    elif isinstance(o, dict):
+        for k, (key, value) in enumerate(sorted(o.items())):
+            head = json.dumps({key: 0})[1:-4]  # the key as json writes it
+            write(("," if k else "{") + inner + head + ": ")
+            _emit(write, value, inner)
+        write(pad + "}")
+    elif (set(map(type, o)) != {dict} or set(map(type, o[0])) != {str}
+          or not all(map(o[0].keys().__eq__, map(dict.keys, o)))):
+        write("[" + inner + ("," + inner).join(_column(o, {}, inner))
+              + pad + "]")
+    else:
+        field, keys = inner + "  ", sorted(o[0])
+        record = "{" + field + ("," + field).join(  # a %s for each value
+            json.dumps(k).replace("%", "%%") + ": %s" for k in keys
+        ) + inner + "}"
+        memos = [{} for _ in keys]
+        for start in range(0, len(o), _BLOCK):
+            block = o[start:start + _BLOCK]
+            columns = [_column([r[k] for r in block], memo, field)
+                       for k, memo in zip(keys, memos)]
+            write(("," if start else "[") + inner
+                  + ("," + inner).join(map(record.__mod__, zip(*columns))))
+        write(pad + "]")
 
 
 def write_json(fh, obj):
     """Write ``obj`` as ``json.dump(obj, fh, indent=2, sort_keys=True)``
-    does, then a newline, piece by piece: the same bytes without the
-    pure-Python encoder that ``indent`` selects, and without the document
-    in memory.  Dict keys are sorted before they become strings, so int
-    keys sort numerically; a value json cannot encode raises ``TypeError``.
-    """
-    write = fh.write
-
-    def emit(o, pad):
-        if isinstance(o, str):
-            write(_json_str(o))
-        elif o is None:
-            write("null")
-        elif o is True:
-            write("true")
-        elif o is False:
-            write("false")
-        elif isinstance(o, int):
-            write(int.__repr__(o))
-        elif isinstance(o, float):
-            write(_json_float(o))
-        elif isinstance(o, (list, tuple)):
-            if not o:
-                write("[]")
-                return
-            inner = pad + "  "
-            sep = "[" + inner
-            for item in o:
-                write(sep)
-                emit(item, inner)
-                sep = "," + inner
-            write(pad + "]")
-        elif isinstance(o, dict):
-            if not o:
-                write("{}")
-                return
-            inner = pad + "  "
-            sep = "{" + inner
-            for key, value in sorted(o.items()):
-                write(sep + _json_key(key) + ": ")
-                emit(value, inner)
-                sep = "," + inner
-            write(pad + "}")
-        else:
-            raise TypeError(f"Object of type {o.__class__.__name__} "
-                            "is not JSON serializable")
-
-    emit(obj, "\n")
-    write("\n")
+    does, then a newline, without the pure-Python encoder that ``indent``
+    selects.  Dict keys are sorted before they become strings, so int keys
+    sort numerically; a value json cannot encode raises ``TypeError``."""
+    _emit(fh.write, obj, "\n")
+    fh.write("\n")
 
 
 # -- scenario files -------------------------------------------------------------

@@ -52,7 +52,10 @@ MAX_SUBSET_SENDERS = 9
 
 @dataclass
 class ConditionReport:
-    """Outcome of one structural check."""
+    """Outcome of one structural check.
+
+    Witnesses that name the same node or subset share one label dict
+    (``revealed``) or list (``S``, ``T``), so they are read-only."""
 
     name: str
     holds: bool
@@ -184,12 +187,13 @@ def check_substitutes(dp: DecisionProblem, prior: JointPrior,
     n = prior.n_senders
     values = (slice(None),) + (slice(-1),) * n
     eu, joint = lattice.eu[values], lattice.mass[values[1:]]
+    label = _revealed_labels(prior, cells)  # one dict per node, for this call
     for i in range(1, n + 1):
-        rows = cells[cells[:, i - 1] < 0]
-        at = tuple(rows.T)
+        nodes = np.flatnonzero(cells[:, i - 1] < 0)
+        at = tuple(cells[nodes].T)
         _score_substitutes(report, i, "revealed", lattice.gain(i)[at],
                            lattice.residual(i)[at], lattice.mass[at],
-                           _revealed_labels(prior, rows))
+                           lambda k: label(nodes[k]))
         others = [j for j in range(1, n + 1)
                   if j != i and prior.spaces[j].size > 1]
         if not (samples and others):
@@ -260,7 +264,7 @@ def check_mnat_concave(dp: DecisionProblem, prior: JointPrior) -> ConditionRepor
         report.note = "no subset triples to check"
         return report
     a, b, moved, lhs, rhs = (np.concatenate(c).tolist() for c in zip(*found))
-    report.witnesses = [{"S": list(members[a[k]]), "T": list(members[b[k]]),
+    report.witnesses = [{"S": members[a[k]], "T": members[b[k]],
                          "moved": moved[k], "lhs": lhs[k], "rhs": rhs[k]}
                         for k in np.lexsort((moved, b, a)).tolist()]
     report.holds = not report.witnesses

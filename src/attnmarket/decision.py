@@ -8,6 +8,7 @@ which keeps payoff-component-only problems cheap even on fine grids.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -251,12 +252,12 @@ def _snap(terms: np.ndarray, scale: np.ndarray) -> np.ndarray:
 
 def _revealed_labels(prior: JointPrior, rows: np.ndarray):
     """``label(k)``: the value labels of the senders that the k-th of the
-    lattice nodes ``rows`` reveals.  The rows become Python lists once, so
-    labelling many nodes indexes no numpy row."""
+    lattice nodes ``rows`` reveals, built on the first call for that node;
+    later calls share that dict, cached for as long as ``label`` lives."""
     labels = [space.values for space in prior.spaces[1:]]
-    cells = rows.tolist()
-    return lambda k: {j: labels[j - 1][v]
-                      for j, v in enumerate(cells[k], 1) if v >= 0}
+    return functools.cache(lambda k: {j: labels[j - 1][v] for j, v
+                                      in enumerate(rows[k].tolist(), 1)
+                                      if v >= 0})
 
 
 def full_reveal_value(dp: DecisionProblem, belief: Belief, sender: int) -> float:

@@ -142,13 +142,17 @@ class EquilibriumProfile:
 
     def rows(self):
         """Profile rows (state id, revealed set, realization, sender, rate)
-        for serialization, by state and then sender."""
-        for node in self.graph.nodes:
-            revealed = "|".join(str(i) for i in node.revealed)
-            realization = "|".join(str(v) for v in node.values)
-            for sender in self.graph.unrevealed(node.id):
-                yield (node.id, revealed, realization, sender,
-                       self.rates[(node.id, sender)])
+        in the order of ``rates``, by state and then sender; each state's
+        two strings are built once, from its row of ``graph.cells``."""
+        spaces, cells = self.graph.prior.spaces, self.graph.cells.tolist()
+        node = None
+        for (k, sender), rate in self.rates.items():
+            if k != node:
+                node = k
+                at = [(j, v) for j, v in enumerate(cells[k], 1) if v >= 0]
+                revealed = "|".join(str(j) for j, _ in at)
+                realization = "|".join(str(spaces[j].values[v]) for j, v in at)
+            yield k, revealed, realization, sender, rate
 
 
 def monopoly_rate(dp: DecisionProblem, prior: JointPrior, cost: float) -> float:

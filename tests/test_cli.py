@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from collections import OrderedDict, namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -607,6 +608,17 @@ def test_sweep_symmetry_flags_the_equal_split_up_to_rounding(tmp_path):
     assert flagged == ["0.1|0.1|0.1"]
 
 
+def test_sweep_symmetry_over_budget_is_runtime_limit(tmp_path, capsys):
+    """5 senders at step 0.01 are C(199, 4), about 6.3e7 splits: refused
+    before any is scored, with no output directory."""
+    out = tmp_path / "out"
+    assert run(["sweep", "--sweep-kind", "symmetry", "--senders", "5",
+                "--grid-step", "0.01", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime limit:") and "63391251" in err
+    assert not out.exists()
+
+
 def test_sweep_bridge(tmp_path):
     code = run(["sweep", "--sweep-kind", "bridge", "--precision", "1",
                 "--cost", "0.1", "--out", str(tmp_path)])
@@ -714,9 +726,139 @@ def test_write_json_gives_the_bytes_of_json_dump(obj):
 
 @pytest.mark.parametrize("obj", [np.int64(3), [1, np.int64(3)],
                                  {"a": np.bool_(True)}, {np.int64(1): 2},
-                                 {1: "int", "a": "str"}, [object()]])
+                                 {1: "int", "a": "str"}, [object()],
+                                 [{1: 0, "a": 1}, {1: 2, "a": 3}],
+                                 [{(1,): 0}, {(1,): 1}],
+                                 [{"a": 1}, {"a": np.int64(2)}]])
 def test_write_json_raises_type_error_where_json_does(obj):
     with pytest.raises(TypeError):
         _json_dump(obj)
     with pytest.raises(TypeError):
         _write_json(obj)
+
+
+# column path: lists of records that share one key set
+
+Pair = namedtuple("Pair", "x y")  # a tuple subclass, which json writes as a list
+
+_shared_pool = st.lists(_json_values, min_size=1, max_size=3)
+_COLUMN_KINDS = {
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "float, not finite": st.floats() | st.sampled_from([np.inf, np.nan]),
+    "float and np.float64": st.floats() | st.floats().map(np.float64),
+    "int": st.integers(),
+    "int and bool": st.integers() | st.booleans(),
+    "str": st.text(max_size=3),
+    "mixed": _json_leaves | st.sampled_from([-0.0, (), (1, 2.5), [True]]),
+}
+
+
+@st.composite
+def _records(draw):
+    """Two or more dicts with one key set, each column of one kind or
+    holding shared nested dicts, lists and tuples, repeated so that some
+    lists cross the writer's blocks."""
+    keys = draw(st.lists(st.text(max_size=3), min_size=1, max_size=4,
+                         unique=True)
+                | st.lists(st.integers(1, 12), min_size=1, max_size=12,
+                           unique=True))
+    pool = draw(_shared_pool)
+    columns = {k: draw(st.sampled_from(sorted(_COLUMN_KINDS)))
+               for k in keys}
+    shared = st.sampled_from(pool)
+    values = {k: _COLUMN_KINDS[kind] | shared if draw(st.booleans())
+              else _COLUMN_KINDS[kind] for k, kind in columns.items()}
+    rows = [{k: draw(v) for k, v in values.items()}
+            for _ in range(draw(st.integers(2, 6)))]
+    return rows * draw(st.sampled_from([1, 2, 60]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_records())
+@example([{k: [k, float(k)] for k in range(12, 0, -1)}] * 2)
+@example([{"x": 1, "y": 1.0}, {"x": True, "y": np.float64(1.0)},
+          {"x": 1, "y": -0.0}] * 120)
+@example([{1: 0, 2: 0}, {True: 1, 2: 1}])  # equal key sets, written apart
+@example([{1: 0}, {1.0: 1}, {1: 2}])
+@example([{"a": 1, "b": 2}, {"a": 1, "c": 2}])
+@example([{"%s": 1, "a%": "%d"}, {"%s": 2.5, "a%": None}])
+@example([{"a": OrderedDict(b=1, c=[2]), "t": Pair(1, 2)},
+          {"a": OrderedDict(b=3, c=()), "t": Pair(3, (4,))}])
+def test_write_json_column_path_gives_the_bytes_of_json_dump(records):
+    assert _write_json(records) == _json_dump(records)
+    assert _write_json({"w": records}) == _json_dump({"w": records})
+
+
+def test_report_json_of_a_seven_sender_check_is_json_dump(tmp_path,
+                                                          monkeypatch):
+    """``report.json`` of `check` on 7 conditionally iid binary senders (a
+    few thousand witnesses sharing label dicts and subset lists) has the
+    bytes of ``json.dump`` of the same report."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "bench"))
+    from workloads import iid_scenario_yaml
+    scenario = tmp_path / "iid7.yaml"
+    scenario.write_text(iid_scenario_yaml(7))
+    written, cli_write_json = [], cli.write_json
+
+    def write_json(fh, obj):
+        written.append(obj)
+        cli_write_json(fh, obj)
+    monkeypatch.setattr(cli, "write_json", write_json)
+    out = tmp_path / "out"
+    assert run(["check", "--scenario", str(scenario), "--seed", "11",
+                "--out", str(out)]) == 2
+    [report] = written
+    assert sum(len(c["witnesses"]) for c in report["conditions"].values()) \
+        > 4000
+    assert (out / "report.json").read_text() == _json_dump(report)
+
+
+# -- profile rows ------------------------------------------------------------------
+
+def _reference_rows(profile):
+    """Profile rows from the graph's ``StateNode`` list."""
+    for node in profile.graph.nodes:
+        revealed = "|".join(str(i) for i in node.revealed)
+        realization = "|".join(str(v) for v in node.values)
+        for sender in profile.graph.unrevealed(node.id):
+            yield (node.id, revealed, realization, sender,
+                   profile.rates[(node.id, sender)])
+
+
+def _int_and_bool_labels(base):
+    base["components"] = {"state": [0, 1],
+                          "senders": [[0, 1, 2], [True, False]]}
+    base["prior"] = {"product": {
+        "state": [0.4, 0.6],
+        "conditionals": [[[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]],
+                         [[0.7, 0.3], [0.4, 0.6]]]}}
+    base["decision"] = {"actions": ["a", "b"],
+                        "utility": {"by_state": {"a": [1.0, 0.0],
+                                                 "b": [0.0, 1.0]}}}
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in Path(__file__).parent.parent.glob("scenarios/*.yaml")
+    if load_scenario(p).finite) + ["int-and-bool labels"])
+def test_profile_rows_match_the_state_nodes(scenario_dir, tmp_path, name):
+    path = (write_scenario(tmp_path, _int_and_bool_labels)
+            if name == "int-and-bool labels" else scenario_dir / name)
+    s = load_scenario(path)
+    profile = aon_rates(s.dp, s.prior, s.cost, force=True)
+    rows = list(profile.rows())
+    assert "nodes" not in vars(profile.graph)
+    assert rows == list(_reference_rows(profile))
+    assert len(rows) == len(profile.rates)
+
+
+def test_solve_builds_no_state_node_list(scenario_dir, tmp_path, monkeypatch):
+    profiles = []
+
+    def solve(*args, **kwargs):
+        profiles.append(aon_rates(*args, **kwargs))
+        return profiles[-1]
+    monkeypatch.setattr(cli, "aon_rates", solve)
+    assert run(["solve", "--scenario", str(scenario_dir / "pair_guess.yaml"),
+                "--out", str(tmp_path)]) == 0
+    [profile] = profiles
+    assert "nodes" not in vars(profile.graph)

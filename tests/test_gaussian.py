@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from attnmarket import gaussian
 from attnmarket.equilibrium import aon_rates
+from attnmarket.errors import BudgetExceeded
 from attnmarket.gaussian import (
     CorrelatedScenario,
     GaussianScenario,
@@ -92,6 +94,18 @@ def test_symmetry_three_senders():
     report = symmetry_gap(1.0, 3.0, 3, 0.01, grid_step=0.25)
     assert report.symmetric_is_max
     assert report.best_allocation == (1.0, 1.0, 1.0)
+
+
+def test_symmetry_split_budget(monkeypatch):
+    """12 units on 3 senders are C(11, 2) = 55 splits: scored at a budget
+    of 55, refused before any is scored at 54."""
+    monkeypatch.setattr(gaussian, "MAX_SYMMETRY_SPLITS", 55)
+    assert len(symmetry_gap(1.0, 3.0, 3, 0.01, grid_step=0.25).allocations) \
+        == 55
+    monkeypatch.setattr(gaussian, "MAX_SYMMETRY_SPLITS", 54)
+    monkeypatch.setattr(gaussian, "gaussian_receiver_payoff", None)
+    with pytest.raises(BudgetExceeded, match="55 precision splits"):
+        symmetry_gap(1.0, 3.0, 3, 0.01, grid_step=0.25)
 
 
 # -- correlated senders ---------------------------------------------------------------
