@@ -90,10 +90,18 @@ def _column(values, memo, pad):
     """The json text of each of ``values``, all at indent ``pad``: scalars
     in one pass of json's C encoder, any other value once per distinct
     object, memoized in ``memo`` by ``id`` (not by value: 1, 1.0 and True
-    hash equal)."""
+    hash equal), the non-empty dicts of scalars among them in one pass."""
     if _flat(values):
         return json.dumps(values, separators=("\0", ": "))[1:-1].split("\0")
-    for o in values:
+    fresh = {id(o): o for o in values if id(o) not in memo}
+    dicts = [o for o in fresh.values()
+             if type(o) is dict and o and _flat(o.values())]
+    # one pass; "}\0{" only joins two of them, as strings escape NUL
+    texts = json.dumps(dicts, sort_keys=True, separators=("\0", ": "))
+    inner = pad + "  "
+    for o, text in zip(dicts, texts[2:-2].split("}\0{")):
+        memo[id(o)] = "{" + inner + text.replace("\0", "," + inner) + pad + "}"
+    for o in fresh.values():
         if id(o) not in memo:
             parts = []
             _emit(parts.append, o, pad)
@@ -102,17 +110,13 @@ def _column(values, memo, pad):
 
 
 def _emit(write, o, pad):
-    """Write ``o`` as json at indent ``pad`` (a newline, then spaces).  A
-    value with no list, tuple or dict inside is written by json's C
-    encoder, a list of records (dicts with one set of ``str`` keys) column
-    by column in blocks of ``_BLOCK``, any other list as one column and any
-    other dict item by item."""
+    """Write ``o`` as json at indent ``pad`` (a newline, then spaces),
+    leaving every leaf to json's C encoder: a list of records (dicts with
+    one set of ``str`` keys) column by column in blocks of ``_BLOCK``, any
+    other list as one column and a dict item by item."""
     inner = pad + "  "
     if not isinstance(o, (dict, list, tuple)) or not o:
         write(json.dumps(o))
-    elif _flat(o.values() if isinstance(o, dict) else o):
-        text = json.dumps(o, sort_keys=True, separators=("," + inner, ": "))
-        write(text[0] + inner + text[1:-1] + pad + text[-1])
     elif isinstance(o, dict):
         for k, (key, value) in enumerate(sorted(o.items())):
             head = json.dumps({key: 0})[1:-4]  # the key as json writes it

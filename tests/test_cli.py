@@ -782,6 +782,8 @@ def _records(draw):
 @example([{1: 0}, {1.0: 1}, {1: 2}])
 @example([{"a": 1, "b": 2}, {"a": 1, "c": 2}])
 @example([{"%s": 1, "a%": "%d"}, {"%s": 2.5, "a%": None}])
+@example([{"a": {"x": "}", "y": "{"}, "b": {}}, {"a": {"x": "}{"}, "b": {1: 2}},
+          {"a": None, "b": {}}])
 @example([{"a": OrderedDict(b=1, c=[2]), "t": Pair(1, 2)},
           {"a": OrderedDict(b=3, c=()), "t": Pair(3, (4,))}])
 def test_write_json_column_path_gives_the_bytes_of_json_dump(records):
