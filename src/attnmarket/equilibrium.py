@@ -103,20 +103,33 @@ class StateGraph:
     def stopping_value(self, node_id: int) -> float:
         return float(self.stopping_values[node_id])
 
+    @cached_property
+    def edges(self) -> tuple:
+        """``(child, prob)``, each nodes x n x max k_i: sender i revealing
+        value index v at node k leads to ``child[k, i - 1, v]`` with
+        probability mass[child] / mass[k]; -1 and 0 where i is revealed or
+        v has no mass.  Built on first use."""
+        sizes = [s.size for s in self.prior.spaces[1:]]
+        child = np.full((len(self), len(sizes), max(sizes)), -1)
+        for i, k in enumerate(sizes):
+            cells = np.repeat(self.cells[:, None], k, 1)
+            cells[:, :, i] = np.arange(k)
+            child[:, i, :k] = self.ids[tuple(np.moveaxis(cells, 2, 0))]
+        child[self.cells >= 0] = -1
+        mass = self._lattice.mass[tuple(self.cells.T)]
+        return child, np.where(child >= 0, mass[child] / mass[:, None, None],
+                               0.0)
+
     def transitions(self, node_id: int, sender: int):
         """Positive-probability revelations of one sender's component:
         list of (value label, probability, child node id)."""
         if sender not in self.unrevealed(node_id):
             raise UnknownComponent(
                 f"sender {sender} already revealed at state {node_id}")
-        cell = tuple(self.cells[node_id])
-        row = cell[:sender - 1] + (slice(-1),) + cell[sender:]
-        mass = self._lattice.mass
-        probs = mass[row] / mass[cell]
-        children = self.ids[row]
+        child, prob = (a[node_id, sender - 1] for a in self.edges)
         values = self.prior.spaces[sender].values
-        return [(values[v], float(probs[v]), int(children[v]))
-                for v in np.flatnonzero(children >= 0)]
+        return [(values[v], float(prob[v]), int(child[v]))
+                for v in np.flatnonzero(child >= 0)]
 
 
 @dataclass

@@ -13,8 +13,9 @@ uniforms.  Episode k reads row k, of width W = 4 * ceil((1 + 2n) / 4),
 taken from ``Philox`` keyed by ``SeedSequence(seed)`` with its counter at
 k * W / 4, so the row depends only on (seed, k) and changing the
 replication count never reshuffles earlier episodes.  Within a row,
-``u[0]`` picks the joint state from the prior's CDF, ``u[1..n]`` is the
-receiver's order context, and ``u[n + 1 + j]`` gives the j-th geometric
+``u[0]`` picks the joint state from the prior's CDF, ``u[1..n]`` breaks
+ties among a receiver's candidates (the candidate i with the lowest
+``u[i]`` is consulted), and ``u[n + 1 + j]`` gives the j-th geometric
 block by inverse CDF, ``1 + floor(log(1 - u) / log(1 - rate))``; the
 remaining entries pad the row to whole Philox outputs.  Rows are
 generated ``ROW_BLOCK`` at a time.
@@ -54,7 +55,7 @@ class AoNTablePolicy:
         self._table = table  # callable node_id -> raw rate
 
     def rate(self, node_id: int) -> float:
-        return float(min(1.0, self._table(node_id)))
+        return float(min(self._table(node_id), 1.0))  # NaN stays NaN
 
     def experiment(self, graph: StateGraph, node_id: int) -> Experiment:
         space = graph.prior.spaces[self.sender]
@@ -98,17 +99,38 @@ def equilibrium_policies(profile: EquilibriumProfile) -> dict:
 # -- receiver policies --------------------------------------------------------
 
 
-class ReceiverPolicy:
-    def begin(self, graph: StateGraph, u) -> object:
-        """Per-episode context from the episode's order uniforms ``u``,
-        one per sender (unused by receivers that need no randomness)."""
-        return None
+def _rate_table(graph: StateGraph, sender_policies: dict) -> np.ndarray:
+    """Capped reveal probabilities, nodes x n: ``rates[node, i - 1]`` is
+    sender i's at ``node``, 0 where i is revealed.  Only senders 1..n are
+    read; each needs an all-or-nothing ``rate``."""
+    rates = np.zeros(graph.cells.shape)
+    for i in range(1, graph.prior.n_senders + 1):
+        policy = sender_policies.get(i)
+        if not hasattr(policy, "rate"):  # None included
+            raise NonAoNPolicy(f"sender {i} has no all-or-nothing rate table")
+        for node in np.flatnonzero(graph.cells[:, i - 1] < 0).tolist():
+            lam = policy.rate(node)
+            if not lam >= 0.0:
+                raise ValueError(f"sender {i}: rate {lam!r} at state {node}")
+            rates[node, i - 1] = lam
+    return rates
 
-    def choose(self, ctx, graph: StateGraph, node_id: int,
-               rates: dict) -> int:
-        """Sender to consult at this state, or 0 to stop.  ``rates`` maps
-        each unrevealed sender to its reveal probability here; the engine
-        builds it once per state, so it must not be modified."""
+
+def _next_values(graph: StateGraph, values, at=slice(None)) -> np.ndarray:
+    """E[values[child]] per node ``at`` and sender (0 where revealed),
+    summed in value order from 0 as ``sum(p * values[child] ...)`` is."""
+    child, prob = (a[at] for a in graph.edges)
+    nxt = np.zeros(child.shape[:2])
+    for v in range(child.shape[2]):
+        nxt += prob[..., v] * values[child[..., v]]
+    return nxt
+
+
+class ReceiverPolicy:
+    def candidates(self, graph: StateGraph, rates: np.ndarray) -> list:
+        """Per node, the senders the receiver may consult there, as a
+        tuple (empty: stop); an episode consults the one with the lowest
+        order uniform ``u[i]``.  ``rates``: nodes x n, 0 where revealed."""
         raise NotImplementedError
 
 
@@ -119,35 +141,24 @@ class FixedOrder(ReceiverPolicy):
     def __init__(self, order=None):
         self.order = tuple(order) if order is not None else None
 
-    def begin(self, graph, u):
-        return self.order
-
-    def choose(self, order, graph, node_id, rates):
-        unrevealed = graph.unrevealed(node_id)
-        if not unrevealed:
-            return 0
-        if order is None:
-            return unrevealed[0]
-        for i in order:
-            if i in unrevealed:
-                return i
-        return 0
+    def candidates(self, graph, rates):
+        order = (range(1, graph.prior.n_senders + 1) if self.order is None
+                 else self.order)
+        return [next(((i,) for i in order if i in unrevealed), ())
+                for unrevealed in map(graph.unrevealed, range(len(graph)))]
 
 
-class RandomOrder(FixedOrder):
-    """Visit senders in a fresh random order each episode: ranked by the
-    episode's order uniforms, lowest first."""
+class RandomOrder(ReceiverPolicy):
+    """Visit senders in a fresh random order each episode: every
+    unrevealed sender is a candidate, so the lowest order uniform wins."""
 
-    def __init__(self):
-        super().__init__(None)
-
-    def begin(self, graph, u):
-        return tuple(sorted(range(1, len(u) + 1), key=lambda i: u[i - 1]))
+    def candidates(self, graph, rates):
+        return [graph.unrevealed(node) for node in range(len(graph))]
 
 
 class StopAlways(ReceiverPolicy):
-    def choose(self, ctx, graph, node_id, rates):
-        return 0
+    def candidates(self, graph, rates):
+        return [()] * len(graph)
 
 
 class GreedyMyopic(ReceiverPolicy):
@@ -157,30 +168,24 @@ class GreedyMyopic(ReceiverPolicy):
     def __init__(self, cost: float):
         self.cost = cost
 
-    def choose(self, ctx, graph, node_id, rates):
-        base = graph.stopping_value(node_id)
-        best, best_gain = 0, ROUNDING
-        for i in graph.unrevealed(node_id):
-            lam = rates.get(i, 0.0)
-            if lam <= 0.0:
-                continue
-            nxt = sum(p * graph.stopping_value(child)
-                      for _, p, child in graph.transitions(node_id, i))
-            gain = lam * (nxt - base) - self.cost
-            if gain > best_gain:
-                best, best_gain = i, gain
-        return best
+    def candidates(self, graph, rates):
+        base = graph.stopping_values
+        gain = rates * (_next_values(graph, base) - base[:, None]) - self.cost
+        gain[rates <= 0.0] = -np.inf
+        # the first sender of the highest gain, if it beats ROUNDING
+        return [(i + 1,) if gain[k, i] > ROUNDING else ()
+                for k, i in enumerate(gain.argmax(axis=1).tolist())]
 
 
 @dataclass
 class DpSolution:
-    """Exact receiver optimum against fixed AoN tables."""
+    """Exact receiver optimum against fixed AoN tables, by node id."""
 
-    values: dict                 # node_id -> value
-    best_sender: dict            # node_id -> sender or 0
-    stop_optimal: dict           # node_id -> bool
-    continue_optimal: dict       # node_id -> bool
-    continuation: dict           # node_id -> best continuation value
+    values: list                 # value
+    best_sender: list            # sender or 0
+    stop_optimal: list           # bool
+    continue_optimal: list       # bool
+    continuation: list           # best continuation value
 
 
 def solve_receiver_dp(dp: DecisionProblem, prior: JointPrior, cost: float,
@@ -194,32 +199,24 @@ def solve_receiver_dp(dp: DecisionProblem, prior: JointPrior, cost: float,
     graph and a :class:`DpSolution` (stop-preferred tie flags included).
     """
     graph = graph or StateGraph(prior, dp)
-    for i in range(1, prior.n_senders + 1):
-        policy = sender_policies.get(i)
-        if policy is None or not hasattr(policy, "rate"):
-            raise NonAoNPolicy(f"sender {i} has no all-or-nothing rate table")
-    sol = DpSolution({}, {}, {}, {}, {})
-    # children reveal one sender more, so they come later in node order
-    for node in reversed(range(len(graph))):
-        stop_value = graph.stopping_value(node)
-        best_sender, best_cont = 0, -np.inf
-        for i in graph.unrevealed(node):
-            lam = sender_policies[i].rate(node)
-            if lam <= 0.0:
-                continue
-            nxt = sum(p * sol.values[child]
-                      for _, p, child in graph.transitions(node, i))
-            cont = nxt - cost / lam
-            if cont > best_cont + ROUNDING:
-                best_sender, best_cont = i, cont
-        value = max(stop_value, best_cont)
-        sol.values[node] = value
-        sol.best_sender[node] = best_sender
-        sol.stop_optimal[node] = stop_value >= best_cont - ROUNDING
-        sol.continue_optimal[node] = (best_sender != 0
-                                      and best_cont >= stop_value - ROUNDING)
-        sol.continuation[node] = best_cont
-    return graph, sol
+    rates = _rate_table(graph, sender_policies)
+    stop = graph.stopping_values
+    values, cont = np.zeros(len(graph)), np.full(len(graph), -np.inf)
+    best = np.zeros(len(graph), dtype=int)
+    # children reveal one sender more, so each layer reads only the next
+    layer = (graph.cells >= 0).sum(axis=1)
+    for size in reversed(range(prior.n_senders + 1)):
+        at = np.flatnonzero(layer == size)
+        with np.errstate(all="ignore"):  # a rate of 0 never wins
+            score = _next_values(graph, values, at) - cost / rates[at]
+        # in sender order, a later sender must win by more than ROUNDING
+        for i in range(prior.n_senders):
+            win = (rates[at, i] > 0.0) & (score[:, i] > cont[at] + ROUNDING)
+            best[at[win]], cont[at[win]] = i + 1, score[win, i]
+        values[at] = np.where(cont[at] > stop[at], cont[at], stop[at])
+    return graph, DpSolution(
+        values.tolist(), best.tolist(), (stop >= cont - ROUNDING).tolist(),
+        ((best != 0) & (cont >= stop - ROUNDING)).tolist(), cont.tolist())
 
 
 class DpOptimal(ReceiverPolicy):
@@ -234,14 +231,11 @@ class DpOptimal(ReceiverPolicy):
         self.solution = solution
         self.prefer_continue = prefer_continue
 
-    def choose(self, ctx, graph, node_id, rates):
-        if self.prefer_continue:
-            if self.solution.continue_optimal[node_id]:
-                return self.solution.best_sender[node_id]
-            return 0
-        if self.solution.stop_optimal[node_id]:
-            return 0
-        return self.solution.best_sender[node_id]
+    def candidates(self, graph, rates):
+        sol = self.solution
+        go = (sol.continue_optimal if self.prefer_continue
+              else [not stop for stop in sol.stop_optimal])
+        return [(i,) if ok else () for i, ok in zip(sol.best_sender, go)]
 
 
 # -- episodes -----------------------------------------------------------------
@@ -274,31 +268,23 @@ class EpisodeTrace:
 
 class _Runner:
     """Shared episode core for traced and lean replications.  The tables a
-    walk reads are built once from the graph: each node's offers
-    ``{sender: rate}``, ``child[node][sender][value]``, each node's
-    stopping action, and per flat prior cell its CDF value and joint
-    index."""
+    walk reads are built once from the graph: the rate table, each node's
+    receiver candidates, ``child`` of ``graph.edges``, each node's stopping
+    action, and per flat prior cell its CDF value and joint index."""
 
     def __init__(self, dp, prior, cost, sender_policies, receiver_policy,
                  graph=None, round_cap=DEFAULT_ROUND_CAP):
         self.actions = dp.actions
         self.cost = cost
-        self.receiver = receiver_policy
         graph = self.graph = graph or StateGraph(prior, dp)
         self.round_cap = round_cap
         n = self.n = prior.n_senders
         # u[0], n order uniforms and n blocks, in whole Philox outputs of 4
         self.width = 4 * -(-(1 + 2 * n) // 4)
-        self.offers = [{i: sender_policies[i].rate(node)
-                        for i in graph.unrevealed(node)}
-                       for node in range(len(graph))]
-        self.child = [[None] * (n + 1) for _ in range(len(graph))]
-        for i in range(1, n + 1):
-            cells = np.repeat(graph.cells[:, None], prior.spaces[i].size, 1)
-            cells[:, :, i - 1] = np.arange(prior.spaces[i].size)
-            kids = graph.ids[tuple(np.moveaxis(cells, 2, 0))].tolist()
-            for node in np.flatnonzero(graph.cells[:, i - 1] < 0).tolist():
-                self.child[node][i] = kids[node]
+        rates = _rate_table(graph, sender_policies)
+        self.candidates = receiver_policy.candidates(graph, rates)
+        self.rates = rates.tolist()
+        self.child = graph.edges[0].tolist()
         self.stop_actions = graph.stop_actions.tolist()
         mass = prior.mass.ravel()
         self.cdf = np.cumsum(mass).tolist()
@@ -312,22 +298,21 @@ class _Runner:
     def play(self, row, record=False):
         """One episode on one row of uniforms (see the module docstring)."""
         n, cap = self.n, self.round_cap
-        offers_at, child = self.offers, self.child
+        candidates, rates, child = self.candidates, self.rates, self.child
         # a u past the CDF's rounded top lands on the last cell with mass
         flat = min(bisect_right(self.cdf, row[0]), self.last)
         joint = self.joint[flat]
-        choose, graph = self.receiver.choose, self.graph
-        ctx = self.receiver.begin(graph, row[1:n + 1])
         visits = dict.fromkeys(range(1, n + 1), 0)
         rows = []
         node = rounds = 0  # the root: nothing revealed
         j = n + 1
         while True:
-            offers = offers_at[node]
-            choice = choose(ctx, graph, node, offers)
-            if choice == 0:
+            senders = candidates[node]
+            if not senders:
                 break
-            lam = offers[choice]
+            choice = (min(senders, key=row.__getitem__) if senders[1:]
+                      else senders[0])
+            lam = rates[node][choice - 1]
             if lam >= 1.0:
                 tail = 0.0
             elif lam > 0.0:
@@ -344,9 +329,10 @@ class _Runner:
             block = 1 + int(tail)
             j += 1
             value = joint[choice]
-            nxt = child[node][choice][value]
+            nxt = child[node][choice - 1][value]
             if record:
-                offer_row = tuple(sorted(offers.items()))
+                offer_row = tuple((i, rates[node][i - 1])
+                                  for i in self.graph.unrevealed(node))
                 rows.extend(RoundRecord(r, offer_row, choice, None, node)
                             for r in range(rounds, rounds + block - 1))
                 rows.append(RoundRecord(rounds + block - 1, offer_row, choice,

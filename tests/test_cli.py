@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from attnmarket import cli
 from attnmarket.cli import load_scenario, main
-from attnmarket.equilibrium import aon_rates
+from attnmarket.equilibrium import StateGraph, aon_rates
 from attnmarket.simulate import (
     RandomOrder,
     equilibrium_policies,
@@ -864,3 +864,20 @@ def test_solve_builds_no_state_node_list(scenario_dir, tmp_path, monkeypatch):
                 "--out", str(tmp_path)]) == 0
     [profile] = profiles
     assert "nodes" not in vars(profile.graph)
+
+
+def test_check_and_solve_build_no_edge_arrays(scenario_dir, tmp_path,
+                                              monkeypatch):
+    # the child/probability arrays serve episodes and the receiver DP only
+    graphs, init = [], StateGraph.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        graphs.append(self)
+    monkeypatch.setattr(StateGraph, "__init__", spy)
+    for command in ("check", "solve"):
+        for name in ("pair_guess.yaml", "three_action_signals.yaml"):
+            run([command, "--scenario", str(scenario_dir / name),
+                 "--out", str(tmp_path / command / name)])
+    assert graphs
+    assert all("edges" not in vars(graph) for graph in graphs)

@@ -419,3 +419,26 @@ def test_graph_matches_independent_enumeration(problem):
         chosen = actions[graph.stop_actions[k]]
         assert oracle.stopping_value([chosen], utility,
                                      conditional) >= best - 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_priors())
+def test_edges_agree_with_transitions(problem):
+    prior, dp = problem
+    graph = StateGraph(prior, dp)
+    child, prob = graph.edges
+    n = prior.n_senders
+    assert child.shape == prob.shape == (
+        len(graph), n, max(s.size for s in prior.spaces[1:]))
+    for k in range(len(graph)):
+        for i in range(1, n + 1):
+            if i not in graph.unrevealed(k):
+                assert (child[k, i - 1] == -1).all()
+                assert (prob[k, i - 1] == 0.0).all()
+                continue
+            got = [(prior.spaces[i].values[v], float(prob[k, i - 1, v]),
+                    int(child[k, i - 1, v]))
+                   for v in np.flatnonzero(child[k, i - 1] >= 0)]
+            assert got == graph.transitions(k, i)
+            assert prob[k, i - 1].sum() == pytest.approx(1.0, abs=1e-12)
+            assert (prob[k, i - 1][child[k, i - 1] < 0] == 0.0).all()

@@ -1,9 +1,17 @@
+import re
+from math import inf, log, log1p
+
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from test_equilibrium import small_priors
+
+from attnmarket import presets
 from attnmarket.environment import Experiment
-from attnmarket.equilibrium import aon_rates
+from attnmarket.equilibrium import StateGraph, aon_rates
 from attnmarket.errors import NonAoNPolicy, RoundLimitExceeded
 from attnmarket.simulate import (
     DEFAULT_ROUND_CAP,
@@ -13,12 +21,14 @@ from attnmarket.simulate import (
     GreedyMyopic,
     RandomOrder,
     StopAlways,
+    episode_rng,
     equilibrium_policies,
     holdup_demo,
     monte_carlo,
     run_episode,
     solve_receiver_dp,
 )
+from attnmarket.tolerance import ROUNDING
 
 
 @pytest.fixture
@@ -360,3 +370,208 @@ def test_holdup_demo_cost_range():
         holdup_demo(0.5)
     with pytest.raises(ValueError):
         holdup_demo(0.0)
+
+
+# -- rate tables ------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [float("nan"), -0.5])
+def test_nan_or_negative_rates_are_refused(pair, bad):
+    prior, dp, profile = pair
+    graph = profile.graph
+    at = graph.node_id((1,), ("T",))
+    policies = equilibrium_policies(profile)
+    table = {k: profile.rates.get((k, 2), 0.0) for k in range(len(graph))}
+    policies[2] = AoNTablePolicy.from_table(2, {**table, at: bad})
+    message = f"sender 2: rate {bad!r} at state {at}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solve_receiver_dp(dp, prior, 0.1, policies, graph=graph)
+    for receiver in (FixedOrder(), StopAlways()):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            monte_carlo(dp, prior, 0.1, policies, receiver, 10, seed=0)
+
+
+def test_policies_beyond_the_senders_are_ignored(pair):
+    prior, dp, profile = pair
+    policies = equilibrium_policies(profile)
+    extra = {**policies, 0: AoNTablePolicy.from_table(0, {}),
+             3: AoNTablePolicy.from_table(3, {}), "x": None}
+    _, sol = solve_receiver_dp(dp, prior, 0.1, policies, graph=profile.graph)
+    _, got = solve_receiver_dp(dp, prior, 0.1, extra, graph=profile.graph)
+    assert got == sol
+    assert (monte_carlo(dp, prior, 0.1, extra, RandomOrder(), 300, seed=4)
+            == monte_carlo(dp, prior, 0.1, policies, RandomOrder(), 300,
+                           seed=4))
+
+
+# -- judges: the array passes against per-node walks on transitions() -------------
+
+RATES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0, inf]),
+                  st.floats(0.0, 1.0))
+
+
+def table_policies(draw, graph, rates=RATES):
+    """Random per-node rate tables for every sender; a small pool of
+    values makes ties between senders and with stopping common."""
+    return {i: AoNTablePolicy.from_table(
+                i, {k: draw(rates) for k in range(len(graph))})
+            for i in range(1, graph.prior.n_senders + 1)}
+
+
+def reference_dp(graph, cost, policies):
+    """The receiver DP node by node in reverse id order, every child read
+    from ``transitions``; dicts keyed by node id."""
+    fields = ("values", "best_sender", "stop_optimal", "continue_optimal",
+              "continuation")
+    sol = {f: {} for f in fields}
+    for node in reversed(range(len(graph))):
+        stop_value = graph.stopping_value(node)
+        best_sender, best_cont = 0, -np.inf
+        for i in graph.unrevealed(node):
+            lam = policies[i].rate(node)
+            if lam <= 0.0:
+                continue
+            nxt = sum(p * sol["values"][child]
+                      for _, p, child in graph.transitions(node, i))
+            cont = nxt - cost / lam
+            if cont > best_cont + ROUNDING:
+                best_sender, best_cont = i, cont
+        sol["values"][node] = max(stop_value, best_cont)
+        sol["best_sender"][node] = best_sender
+        sol["stop_optimal"][node] = stop_value >= best_cont - ROUNDING
+        sol["continue_optimal"][node] = (best_sender != 0 and
+                                         best_cont >= stop_value - ROUNDING)
+        sol["continuation"][node] = best_cont
+    return {f: [sol[f][k] for k in range(len(graph))] for f in fields}
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_priors(), st.sampled_from([0.0, 0.05, 0.1, 0.5]), st.data())
+def test_dp_matches_the_per_node_reference(problem, cost, data):
+    prior, dp = problem
+    graph = StateGraph(prior, dp)
+    policies = table_policies(data.draw, graph)
+    _, sol = solve_receiver_dp(dp, prior, cost, policies, graph=graph)
+    assert vars(sol) == reference_dp(graph, cost, policies)
+
+
+def fixed_rule(order):
+    def choose(graph, node, rates, u):
+        seq = range(1, len(u) + 1) if order is None else order
+        return next((i for i in seq if i in graph.unrevealed(node)), 0)
+    return choose
+
+
+def stop_rule(graph, node, rates, u):
+    return 0
+
+
+def random_rule(graph, node, rates, u):
+    order = sorted(range(1, len(u) + 1), key=lambda i: u[i - 1])
+    return fixed_rule(order)(graph, node, rates, u)
+
+
+def greedy_rule(cost):
+    def choose(graph, node, rates, u):
+        base = graph.stopping_value(node)
+        best, best_gain = 0, ROUNDING
+        for i in graph.unrevealed(node):
+            if rates[i] <= 0.0:
+                continue
+            nxt = sum(p * graph.stopping_value(child)
+                      for _, p, child in graph.transitions(node, i))
+            gain = rates[i] * (nxt - base) - cost
+            if gain > best_gain:
+                best, best_gain = i, gain
+        return best
+    return choose
+
+
+def dp_rule(sol, prefer_continue):
+    def choose(graph, node, rates, u):
+        go = (sol["continue_optimal"][node] if prefer_continue
+              else not sol["stop_optimal"][node])
+        return sol["best_sender"][node] if go else 0
+    return choose
+
+
+def reference_walk(graph, policies, choose, row):
+    """One episode round by round: ``choose(graph, node, rates, u)`` names
+    the sender to consult (0 stops) and each revelation's child comes from
+    ``transitions``.  Returns the visits, the rounds as (round, offers,
+    choice, message, node) and the final node."""
+    prior, n = graph.prior, graph.prior.n_senders
+    cdf = np.cumsum(prior.mass.ravel())
+    flat = min(int(np.searchsorted(cdf, row[0], side="right")),
+               int(np.flatnonzero(prior.mass.ravel() > 0)[-1]))
+    joint = np.unravel_index(flat, prior.mass.shape)
+    visits, rounds, node, j = dict.fromkeys(range(1, n + 1), 0), [], 0, n + 1
+    while True:
+        rates = {i: policies[i].rate(node) for i in graph.unrevealed(node)}
+        choice = choose(graph, node, rates, row[1:n + 1])
+        if choice == 0:
+            return visits, rounds, node
+        lam = rates[choice]
+        block = 1 if lam >= 1.0 else 1 + int(log(1.0 - row[j]) / log1p(-lam))
+        j += 1
+        value = prior.spaces[choice].values[joint[choice]]
+        nxt = {v: c for v, _, c in graph.transitions(node, choice)}[value]
+        offers, start = tuple(sorted(rates.items())), len(rounds)
+        rounds += [(r, offers, choice, None, node)
+                   for r in range(start, start + block - 1)]
+        rounds.append((start + block - 1, offers, choice, value, nxt))
+        visits[choice] += block
+        node = nxt
+
+
+def receivers(graph, dp, cost, policies):
+    """(engine receiver, reference rule) for all six receiver classes."""
+    n = graph.prior.n_senders
+    _, sol = solve_receiver_dp(dp, graph.prior, cost, policies, graph=graph)
+    ref = reference_dp(graph, cost, policies)
+    return [(FixedOrder(), fixed_rule(None)),
+            (FixedOrder(range(n, 0, -1)), fixed_rule(range(n, 0, -1))),
+            (FixedOrder((n,)), fixed_rule((n,))),
+            (RandomOrder(), random_rule),
+            (StopAlways(), stop_rule),
+            (GreedyMyopic(cost), greedy_rule(cost)),
+            (DpOptimal(sol), dp_rule(ref, False)),
+            (DpOptimal(sol, True), dp_rule(ref, True))]
+
+
+def assert_replays(dp, graph, cost, policies, seed, episodes):
+    width = 4 * -(-(1 + 2 * graph.prior.n_senders) // 4)
+    for receiver, rule in receivers(graph, dp, cost, policies):
+        for k in range(episodes):
+            trace = run_episode(dp, graph.prior, cost, policies, receiver,
+                                seed, round_cap=10 ** 9, episode=k,
+                                graph=graph)
+            visits, rounds, final = reference_walk(
+                graph, policies, rule, episode_rng(seed, k, width))
+            assert trace.visits == visits
+            assert trace.total_rounds == len(rounds)
+            assert trace.final_node == final
+            assert [(r.round, r.offers, r.choice, r.message, r.node_id)
+                    for r in trace.rounds] == rounds
+
+
+def test_engine_replays_the_per_step_walk_on_four_iid_senders():
+    # four senders: the random receiver has up to four candidates a state
+    prior, dp = presets.conditionally_iid_signals(accuracy=0.7, n=4)
+    profile = aon_rates(dp, prior, 0.02, force=True)
+    graph = profile.graph
+    policies = equilibrium_policies(profile)
+    assert_replays(dp, graph, 0.02, policies, seed=3, episodes=40)
+    boosted = {i: AoNTablePolicy.epsilon_boost(profile, i, 0.2)
+               for i in policies}
+    assert_replays(dp, graph, 0.02, boosted, seed=5, episodes=40)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_priors(), st.data())
+def test_engine_replays_the_per_step_walk(problem, data):
+    prior, dp = problem
+    graph = StateGraph(prior, dp)
+    policies = table_policies(data.draw, graph, st.one_of(
+        st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.05, 1.0)))
+    assert_replays(dp, graph, data.draw(st.sampled_from([0.01, 0.1])),
+                   policies, seed=data.draw(st.integers(0, 99)), episodes=5)
