@@ -175,13 +175,17 @@ def _need(mapping, key, where):
     return mapping[key]
 
 
-def _positive(value, where):
+def _number(value, where) -> float:
     try:
-        out = float(value)
+        return float(value)
     except (TypeError, ValueError):
         raise ScenarioError(f"{where} must be a number, got {value!r}") from None
-    if out <= 0:
-        raise ScenarioError(f"{where} must be positive, got {out}")
+
+
+def _positive(value, where):
+    out = _number(value, where)
+    if not 0 < out < np.inf:  # NaN included
+        raise ScenarioError(f"{where} must be finite and positive, got {out}")
     return out
 
 
@@ -268,12 +272,15 @@ def _parse_finite(raw):
     senders = _need(comp, "senders", "components")
     if not isinstance(senders, list) or not senders:
         raise ScenarioError("components.senders must list at least one sender")
-    spaces = [ComponentSpace(0, tuple(state_values))]
-    for i, values in enumerate(senders, start=1):
-        if not isinstance(values, list) or not values:
-            raise ScenarioError(f"components.senders[{i - 1}] must be a "
-                                "non-empty list of values")
-        spaces.append(ComponentSpace(i, tuple(values)))
+    spaces = []
+    for i, values in enumerate([state_values] + senders):
+        where = f"components.senders[{i - 1}]" if i else "components.state"
+        if i and (not isinstance(values, list) or not values):
+            raise ScenarioError(f"{where} must be a non-empty list of values")
+        try:  # duplicate or unhashable values
+            spaces.append(ComponentSpace(i, tuple(values)))
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"{where}: {exc}") from None
     shape = tuple(s.size for s in spaces)
     try:
         prior = JointPrior(spaces, _prior_mass(_need(raw, "prior", "scenario"),
@@ -285,10 +292,22 @@ def _parse_finite(raw):
     actions = _need(decision, "actions", "decision")
     if not isinstance(actions, list) or not actions:
         raise ScenarioError("decision.actions must be a non-empty list")
+    try:
+        distinct = len(set(actions)) == len(actions)
+    except TypeError:  # an unhashable label
+        distinct = False
+    if not distinct:
+        raise ScenarioError(f"decision.actions must list distinct labels, "
+                            f"got {actions!r}")
     utility = _need(decision, "utility", "decision")
     if ("by_state" in utility) == ("by_joint" in utility):
         raise ScenarioError(
             "decision.utility must have exactly one of 'by_state' or 'by_joint'")
+    block = "by_state" if "by_state" in utility else "by_joint"
+    unknown = [a for a in utility[block] if a not in actions]
+    if unknown:
+        raise ScenarioError(f"decision.utility.{block} names {unknown[0]!r}, "
+                            "which is not in decision.actions")
     if "by_state" in utility:
         table = []
         for a in actions:
@@ -362,7 +381,10 @@ def _parse_gaussian(block) -> dict:
     if not isinstance(block, dict):
         raise ScenarioError("'gaussian' must be a mapping")
     p0 = _positive(_need(block, "p0", "gaussian"), "gaussian.p0")
-    p = [_positive(x, "gaussian.p[]") for x in _need(block, "p", "gaussian")]
+    p = _need(block, "p", "gaussian")
+    if not isinstance(p, list) or not p:
+        raise ScenarioError(f"gaussian.p must be a non-empty list, got {p!r}")
+    p = [_positive(x, "gaussian.p[]") for x in p]
     out = {"p0": p0, "p": tuple(p)}
     if "pc" in block:
         out["pc"] = _positive(block["pc"], "gaussian.pc")
@@ -370,7 +392,7 @@ def _parse_gaussian(block) -> dict:
             raise ScenarioError("a correlated gaussian block needs exactly "
                                 "two senders")
     if "alpha" in block:
-        alpha = float(block["alpha"])
+        alpha = _number(block["alpha"], "gaussian.alpha")
         if not 0.0 <= alpha <= 1.0:
             raise ScenarioError("gaussian.alpha must lie in [0, 1]")
         out["alpha"] = alpha

@@ -82,7 +82,7 @@ def check_assumption2(dp: DecisionProblem, prior: JointPrior,
     """Every sender's component must be worth more than one visit at every
     positive-mass realization of the competitors' components.  With a
     single sender this reduces to the monopoly condition c < vbar."""
-    if cost <= 0.0:
+    if not cost > 0.0:  # NaN included
         raise ValueError("attention cost must be positive")
     report = ConditionReport("assumption2", holds=True, margin=np.inf)
     lattice = _Lattice(dp, prior.mass)

@@ -9,7 +9,7 @@ and payoffs are materialized as tables over this graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -136,36 +136,39 @@ class StateGraph:
 class EquilibriumProfile:
     """AoN rate table over the reachable graph plus theoretical payoffs.
 
-    ``sender_payoffs[i]`` is sender ``i``'s expected visit count and
-    ``receiver_payoff`` the receiver's expected utility net of attention
-    costs.  ``equilibrium`` is False when the structural conditions were
-    overridden with ``force``.
+    ``rates`` is nodes x n: ``rates[k, i - 1]`` is sender ``i``'s raw rate
+    at node ``k``, ``inf`` where her residual value is 0 and 0 where she
+    is revealed.  ``sender_payoffs[i]`` is sender ``i``'s expected visit
+    count and ``receiver_payoff`` the receiver's expected utility net of
+    attention costs.  ``equilibrium`` is False when the structural
+    conditions were overridden with ``force``.
     """
 
     graph: StateGraph
     cost: float
-    rates: dict = field(default_factory=dict)       # (node_id, sender) -> prob
-    sender_payoffs: dict = field(default_factory=dict)
-    receiver_payoff: float = 0.0
-    equilibrium: bool = True
-    reports: dict = field(default_factory=dict)
+    rates: np.ndarray
+    sender_payoffs: dict
+    receiver_payoff: float
+    equilibrium: bool
+    reports: dict
 
     def rate(self, node_id: int, sender: int) -> float:
-        return self.rates[(node_id, sender)]
+        if node_id < 0 or sender < 1:
+            raise KeyError((node_id, sender))
+        return float(self.rates[node_id, sender - 1])
 
     def rows(self):
         """Profile rows (state id, revealed set, realization, sender, rate)
-        in the order of ``rates``, by state and then sender; each state's
+        for every unrevealed sender, by state and then sender; each state's
         two strings are built once, from its row of ``graph.cells``."""
-        spaces, cells = self.graph.prior.spaces, self.graph.cells.tolist()
-        node = None
-        for (k, sender), rate in self.rates.items():
-            if k != node:
-                node = k
-                at = [(j, v) for j, v in enumerate(cells[k], 1) if v >= 0]
-                revealed = "|".join(str(j) for j, _ in at)
-                realization = "|".join(str(spaces[j].values[v]) for j, v in at)
-            yield k, revealed, realization, sender, rate
+        spaces = self.graph.prior.spaces
+        for k, (cell, rates) in enumerate(zip(self.graph.cells.tolist(),
+                                              self.rates.tolist())):
+            at = [(j, v) for j, v in enumerate(cell, 1) if v >= 0]
+            revealed = "|".join(str(j) for j, _ in at)
+            realization = "|".join(str(spaces[j].values[v]) for j, v in at)
+            yield from ((k, revealed, realization, i, rate) for i, (v, rate)
+                        in enumerate(zip(cell, rates), 1) if v < 0)
 
 
 def monopoly_rate(dp: DecisionProblem, prior: JointPrior, cost: float) -> float:
@@ -204,31 +207,26 @@ def aon_rates(dp: DecisionProblem, prior: JointPrior, cost: float, *,
                 "non-equilibrium profile", reports=reports)
 
     graph = StateGraph(prior, dp)
-    profile = EquilibriumProfile(
-        graph=graph, cost=cost,
-        equilibrium=ass2.holds and subs.holds,
-        reports=reports,
-    )
     lattice = graph._lattice
     everyone = tuple(range(1, prior.n_senders + 1))
-    # one rate per (node, unrevealed sender): cost / residual value, with
-    # H_i = residual value * P
-    node_ids, senders = np.nonzero(graph.cells < 0)
-    at = tuple(graph.cells[node_ids].T)
-    residual = np.stack([np.broadcast_to(lattice.residual(i), graph.ids.shape)
-                         for i in everyone])[(senders,) + at]
+    # cost / residual value at each (node, sender), with H_i = residual
+    # value * P; 0 where the sender is revealed
+    at = tuple(graph.cells.T)
+    residual = np.stack([np.broadcast_to(lattice.residual(i),
+                                         graph.ids.shape)[at]
+                         for i in everyone], axis=1)
+    mass = lattice.mass[at][:, None]
     with np.errstate(divide="ignore"):
-        rates = np.where(residual > 0.0, cost * lattice.mass[at] / residual,
-                         np.inf)
-    profile.rates = dict(zip(zip(node_ids.tolist(), (senders + 1).tolist()),
-                             rates.tolist()))
+        rates = np.where(residual > 0.0, cost * mass / residual, np.inf)
+    rates[graph.cells >= 0] = 0.0
     root = (-1,) * prior.n_senders
-    profile.sender_payoffs = {i: float(lattice.residual(i)[root]) / cost
-                              for i in everyone}
-    profile.receiver_payoff = (
-        lattice.coalition(everyone)
-        - cost * sum(profile.sender_payoffs.values()))
-    return profile
+    sender_payoffs = {i: float(lattice.residual(i)[root]) / cost
+                      for i in everyone}
+    return EquilibriumProfile(
+        graph=graph, cost=cost, rates=rates, sender_payoffs=sender_payoffs,
+        receiver_payoff=(lattice.coalition(everyone)
+                         - cost * sum(sender_payoffs.values())),
+        equilibrium=ass2.holds and subs.holds, reports=reports)
 
 
 def marginal_prices(dp: DecisionProblem, prior: JointPrior) -> dict:

@@ -39,7 +39,7 @@ class GaussianScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "p", tuple(float(x) for x in self.p))
-        if self.p0 <= 0 or self.c <= 0 or any(x <= 0 for x in self.p):
+        if not all(x > 0 for x in (self.p0, self.c) + self.p):  # NaN too
             raise ValueError("all precisions and the cost must be positive")
 
     @property
@@ -60,7 +60,8 @@ class CorrelatedScenario:
     c: float
 
     def __post_init__(self):
-        if min(self.p0, self.p1, self.p2, self.pc, self.c) <= 0:
+        if not all(x > 0 for x in (self.p0, self.p1, self.p2, self.pc,
+                                   self.c)):
             raise ValueError("all precisions and the cost must be positive")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
@@ -107,9 +108,9 @@ def symmetry_gap(p0: float, total_sender_precision: float, n: int, c: float,
     """Grid-search precision splits of a fixed total across senders and
     compare against the equal split (which should be the maximum).  More
     than ``MAX_SYMMETRY_SPLITS`` splits raise ``BudgetExceeded`` first."""
-    if total_sender_precision <= 0 or n < 1:
+    if not total_sender_precision > 0 or n < 1:
         raise ValueError("need positive total precision and at least one sender")
-    if grid_step <= 0:
+    if not grid_step > 0:
         raise ValueError(f"grid step must be positive, got {grid_step}")
     units = int(round(total_sender_precision / grid_step))
     splits = math.comb(max(units - 1, 0), n - 1)
@@ -145,7 +146,7 @@ def symmetry_gap(p0: float, total_sender_precision: float, n: int, c: float,
 def correlation_threshold(p0: float, p1: float, p2: float) -> float:
     """Common-signal precision above which full correlation beats
     independence for the receiver."""
-    if min(p0, p1, p2) <= 0:
+    if not all(x > 0 for x in (p0, p1, p2)):
         raise ValueError("precisions must be positive")
     num = p1 * p2 * (2 * p0 + p1 + p2)
     den = (p0 + p1) ** 2 + p2 * (2 * p0 + p1 + p2)
@@ -190,7 +191,7 @@ def binary_action_rate(p: float, c: float):
     """Left-or-right action on a centered Gaussian state: the information
     value is E|state| and the AoN rate is the cost over that value.
     Returns (rate, value)."""
-    if p <= 0 or c <= 0:
+    if not (p > 0 and c > 0):
         raise ValueError("precision and cost must be positive")
     value = math.sqrt(2.0 / (math.pi * p))
     return c / value, value
@@ -209,7 +210,7 @@ def bridge_schedule(p: float, c: float, grid_points: int = 11) -> BridgeSchedule
     """Deterministic decay of the posterior variance under the gradual
     bridge process: Var at time t equals 1/p - c*t until the revelation
     time 1/(p*c)."""
-    if p <= 0 or c <= 0:
+    if not (p > 0 and c > 0):
         raise ValueError("precision and cost must be positive")
     if grid_points < 2:
         raise ValueError(f"need at least 2 grid points, got {grid_points}")
@@ -281,7 +282,7 @@ def bridge_mc_check(p: float, c: float, samples: int = 10_000, seed: int = 0,
 def large_n_gaussian(p0: float, p: float, c: float, n_values) -> list:
     """Per-n mean-squared-error term and total attention cost for n equal
     senders; both vanish as n grows, cost at rate 1/n."""
-    if p0 <= 0 or p <= 0 or c <= 0:
+    if not (p0 > 0 and p > 0 and c > 0):
         raise ValueError("parameters must be positive")
     rows = []
     for n in n_values:

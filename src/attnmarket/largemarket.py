@@ -50,11 +50,12 @@ class IIDEnvironment:
         lik = np.asarray(likelihood, dtype=float)
         u = np.asarray(utility, dtype=float)
         m, ell = len(state_labels), len(signal_alphabet)
-        if w.shape != (m,) or np.any(w <= 0) or abs(w.sum() - 1.0) > ROUNDING:
+        if (w.shape != (m,) or not np.all(w > 0)
+                or abs(w.sum() - 1.0) > ROUNDING):
             raise ValueError("state weights must be positive and sum to 1")
         if lik.shape != (m, ell):
             raise ValueError("likelihood must be states x signals")
-        if np.any(lik <= 0):
+        if not np.all(lik > 0):
             raise ValueError("likelihood entries must be strictly positive")
         if np.any(np.abs(lik.sum(axis=1) - 1.0) > ROUNDING):
             raise ValueError("likelihood rows must sum to 1")

@@ -48,14 +48,16 @@ ROW_BLOCK = 1024  # episode rows generated per Philox call
 
 class AoNTablePolicy:
     """Sender policy given by an all-or-nothing reveal probability per
-    reachable state."""
+    reachable state: ``table`` holds the raw rates by node id, as an array
+    over the graph's nodes or one number for every node."""
 
     def __init__(self, sender: int, table):
         self.sender = sender
-        self._table = table  # callable node_id -> raw rate
+        self.table = table
 
     def rate(self, node_id: int) -> float:
-        return float(min(self._table(node_id), 1.0))  # NaN stays NaN
+        raw = self.table[node_id] if np.ndim(self.table) else self.table
+        return float(min(raw, 1.0))  # NaN stays NaN
 
     def experiment(self, graph: StateGraph, node_id: int) -> Experiment:
         space = graph.prior.spaces[self.sender]
@@ -63,13 +65,13 @@ class AoNTablePolicy:
 
     @classmethod
     def equilibrium(cls, profile: EquilibriumProfile, sender: int):
-        return cls(sender, lambda nid: profile.rates.get((nid, sender), 0.0))
+        return cls(sender, profile.rates[:, sender - 1])
 
     @classmethod
     def fixed(cls, sender: int, reveal_prob: float):
         if not 0.0 <= reveal_prob <= 1.0:
             raise ValueError("reveal probability must lie in [0, 1]")
-        return cls(sender, lambda nid: reveal_prob)
+        return cls(sender, reveal_prob)
 
     @classmethod
     def epsilon_boost(cls, profile: EquilibriumProfile, sender: int,
@@ -78,16 +80,16 @@ class AoNTablePolicy:
         deviation that secures the equilibrium payoff lower bound)."""
         if not 0.0 <= epsilon < 1.0:
             raise ValueError("epsilon must lie in [0, 1)")
-        return cls(sender, lambda nid: profile.rates.get((nid, sender), 0.0)
-                   / (1.0 - epsilon))
+        return cls(sender, profile.rates[:, sender - 1] / (1.0 - epsilon))
 
     @classmethod
     def uninformative(cls, sender: int):
-        return cls(sender, lambda nid: 0.0)
+        return cls(sender, 0.0)
 
     @classmethod
     def from_table(cls, sender: int, table: dict):
-        return cls(sender, lambda nid: table[nid])
+        """Raw rates keyed by node ids 0..len(table) - 1."""
+        return cls(sender, np.array([table[k] for k in range(len(table))]))
 
 
 def equilibrium_policies(profile: EquilibriumProfile) -> dict:
@@ -102,17 +104,20 @@ def equilibrium_policies(profile: EquilibriumProfile) -> dict:
 def _rate_table(graph: StateGraph, sender_policies: dict) -> np.ndarray:
     """Capped reveal probabilities, nodes x n: ``rates[node, i - 1]`` is
     sender i's at ``node``, 0 where i is revealed.  Only senders 1..n are
-    read; each needs an all-or-nothing ``rate``."""
-    rates = np.zeros(graph.cells.shape)
-    for i in range(1, graph.prior.n_senders + 1):
-        policy = sender_policies.get(i)
-        if not hasattr(policy, "rate"):  # None included
+    read; each needs an all-or-nothing ``table``."""
+    policies = [sender_policies.get(i)
+                for i in range(1, graph.prior.n_senders + 1)]
+    for i, policy in enumerate(policies, 1):
+        if not hasattr(policy, "table"):  # None included
             raise NonAoNPolicy(f"sender {i} has no all-or-nothing rate table")
-        for node in np.flatnonzero(graph.cells[:, i - 1] < 0).tolist():
-            lam = policy.rate(node)
-            if not lam >= 0.0:
-                raise ValueError(f"sender {i}: rate {lam!r} at state {node}")
-            rates[node, i - 1] = lam
+    rates = np.minimum(np.stack([np.broadcast_to(p.table, len(graph))
+                                 for p in policies], axis=1), 1.0)
+    rates[graph.cells >= 0] = 0.0
+    bad = np.argwhere(~(rates.T >= 0.0))  # NaN or negative: (sender, node)
+    if len(bad):  # the first, by sender and then state
+        i, node = bad[0].tolist()
+        raise ValueError(f"sender {i + 1}: rate {float(rates[node, i])!r} "
+                         f"at state {node}")
     return rates
 
 
@@ -476,7 +481,7 @@ def holdup_demo(cost: float) -> dict:
     stopping_value = graph.stopping_value(root)
     best = max(continuation_values.values())
 
-    # partial-information variant: sender 1 already leaned the belief
+    # partial-information variant: sender 1 has already tilted the belief
     mu1 = 0.75
     tilted = Belief(prior.spaces,
                     np.array([[[mu1 / 2, mu1 / 2],

@@ -134,6 +134,82 @@ def test_prior_row_off_sum_names_the_row(tmp_path, capsys, row, total):
     assert "np.float64" not in err
 
 
+def _fields(**fields):
+    return lambda base: base.update(fields)
+
+
+def _gaussian(**fields):
+    """A gaussian scenario in place of the finite one, with ``fields`` set
+    in its block."""
+    def mutate(base):
+        for key in ("components", "prior", "decision"):
+            del base[key]
+        base["gaussian"] = {"p0": 1.0, "p": [1.0, 1.0], **fields}
+    return mutate
+
+
+def _utility(block, rows):
+    return lambda base: base["decision"].update(utility={block: rows})
+
+
+def _refused(argv, capsys, tmp_path):
+    """Exit 1 with an input error, no traceback and no output directory."""
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
+    assert not out.exists()
+    return err
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("command, mutate, field", [
+    ("check", _fields(cost=NAN), "cost"),
+    ("solve", _fields(cost=NAN), "cost"),
+    ("simulate", _fields(cost=NAN), "cost"),
+    ("check", _fields(cost=float("inf")), "cost"),
+    ("solve", _gaussian(p0=NAN), "gaussian.p0"),
+    ("solve", _gaussian(p=[1.0, NAN]), "gaussian.p[]"),
+    ("solve", _gaussian(pc=NAN), "gaussian.pc"),
+    ("solve", _gaussian(alpha=NAN, pc=0.6), "gaussian.alpha"),
+    ("solve", lambda base: (_gaussian()(base), base.update(cost=NAN)),
+     "cost"),
+], ids=["check-cost", "solve-cost", "simulate-cost", "check-cost-inf",
+        "p0", "p", "pc", "alpha", "gaussian-cost"])
+def test_non_finite_scenario_number_is_input_error(tmp_path, capsys,
+                                                   command, mutate, field):
+    err = _refused([command, "--scenario", write_scenario(tmp_path, mutate)],
+                   capsys, tmp_path)
+    assert field in err
+
+
+@pytest.mark.parametrize("mutate, field", [
+    (lambda base: base["components"].update(state=["s", "s"]),
+     "components.state"),
+    (_fields(components={"senders": [["H", "H"]]}), "components.senders[0]"),
+    (_fields(components={"senders": [["H", "T"], [["H"], "T"]]}),
+     "components.senders[1]"),
+    (_gaussian(alpha="half", pc=0.6), "gaussian.alpha"),
+    (_gaussian(p=1.0), "gaussian.p"),
+    (_gaussian(p=[]), "gaussian.p"),
+    (lambda base: base["decision"].update(actions=["a", "a"]),
+     "decision.actions"),
+    (_utility("by_joint", {"a": [0.0, 1.0], "b": [1.0, 0.0]}),
+     "decision.utility.by_joint"),
+    (_utility("by_state", {"a": [0.0], "b": [1.0]}),
+     "decision.utility.by_state"),
+], ids=["state-duplicate", "sender-duplicate", "sender-unhashable",
+        "alpha-text", "p-scalar", "p-empty", "action-duplicate",
+        "by-joint-unknown", "by-state-unknown"])
+def test_malformed_scenario_field_is_input_error(tmp_path, capsys, mutate,
+                                                 field):
+    err = _refused(["solve", "--scenario", write_scenario(tmp_path, mutate)],
+                   capsys, tmp_path)
+    assert field in err
+
+
 def test_missing_block(tmp_path, capsys):
     def mutate(base):
         del base["decision"]
@@ -559,6 +635,12 @@ def test_sweep_large_n_finite_failed_fit_writes_nothing(tmp_path, capsys):
     ["large-n", "--finite", "--accuracy", "1.5"],
     ["bridge", "--grid-points", "0"],
     ["bridge", "--mc-samples", "1"],
+    ["large-n", "--p0", "nan"],
+    ["large-n", "--finite", "--accuracy", "nan"],
+    ["alpha", "--p1", "nan"],
+    ["symmetry", "--total-precision", "nan"],
+    ["symmetry", "--grid-step", "nan"],
+    ["bridge", "--cost", "nan"],
 ])
 def test_sweep_bad_flag_is_input_error(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -824,7 +906,7 @@ def _reference_rows(profile):
         realization = "|".join(str(v) for v in node.values)
         for sender in profile.graph.unrevealed(node.id):
             yield (node.id, revealed, realization, sender,
-                   profile.rates[(node.id, sender)])
+                   profile.rate(node.id, sender))
 
 
 def _int_and_bool_labels(base):
@@ -850,7 +932,7 @@ def test_profile_rows_match_the_state_nodes(scenario_dir, tmp_path, name):
     rows = list(profile.rows())
     assert "nodes" not in vars(profile.graph)
     assert rows == list(_reference_rows(profile))
-    assert len(rows) == len(profile.rates)
+    assert len(rows) == np.count_nonzero(profile.graph.cells < 0)
 
 
 def test_solve_builds_no_state_node_list(scenario_dir, tmp_path, monkeypatch):

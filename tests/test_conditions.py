@@ -147,6 +147,13 @@ def test_substitutes_three_action(three_action):
     assert report.holds
 
 
+@pytest.mark.parametrize("cost", [0.0, -0.1, float("nan")])
+def test_assumption2_rejects_a_cost_that_is_not_positive(pair_guess, cost):
+    prior, dp = pair_guess
+    with pytest.raises(ValueError, match="positive"):
+        check_assumption2(dp, prior, cost)
+
+
 def test_substitutes_rejects_negative_samples(pair_guess):
     prior, dp = pair_guess
     with pytest.raises(ValueError):

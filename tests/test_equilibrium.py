@@ -70,12 +70,13 @@ def test_pair_guess_profile(pair_guess):
     prior, dp = pair_guess
     profile = aon_rates(dp, prior, 0.1)
     assert profile.equilibrium
-    rates = set(profile.rates.values())
+    unrevealed = profile.rates[profile.graph.cells < 0].tolist()
+    rates = set(unrevealed)
     assert all(r == pytest.approx(1 / 3) for r in rates)
     assert profile.sender_payoffs[1] == pytest.approx(3.0)
     assert profile.sender_payoffs[2] == pytest.approx(3.0)
     assert profile.receiver_payoff == pytest.approx(1.4)
-    assert all(0.0 < r < 1.0 for r in profile.rates.values())
+    assert all(0.0 < r < 1.0 for r in unrevealed)
     assert all(v >= 1.0 for v in profile.sender_payoffs.values())
 
 
@@ -83,7 +84,7 @@ def test_three_action_profile(three_action):
     # frozen from the brute-force enumeration over all eight joint states
     prior, dp = three_action
     profile = aon_rates(dp, prior, 0.01)
-    for (node, sender), rate in profile.rates.items():
+    for rate in profile.rates[profile.graph.cells < 0].tolist():
         assert rate == pytest.approx(0.625)
     assert profile.sender_payoffs[1] == pytest.approx(1.6)
     assert profile.sender_payoffs[2] == pytest.approx(1.6)
@@ -129,13 +130,17 @@ def test_rates_infinite_exactly_where_residual_is_zero():
                    == value(ones + c, zeros + r - c)
                    for c in range(r + 1))
 
+    hidden = profile.graph.cells < 0
+    assert profile.rates.shape == (len(profile.graph), n)
+    assert (profile.rates[~hidden] == 0.0).all()
     zeros_seen = 0
-    for (node_id, sender), rate in profile.rates.items():
+    for node_id, sender in np.argwhere(hidden).tolist():
+        rate = profile.rates[node_id, sender]
         values = profile.graph.nodes[node_id].values
         zero = residual_is_zero(values.count("1"), values.count("0"))
         zeros_seen += zero
-        assert math.isinf(rate) == zero, (node_id, sender, rate)
-    assert len(profile.rates) == 5103 and zeros_seen == 1022
+        assert math.isinf(rate) == zero, (node_id, sender + 1, rate)
+    assert hidden.sum() == 5103 and zeros_seen == 1022
 
 
 # -- marginal-contribution prices -----------------------------------------------------

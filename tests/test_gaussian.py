@@ -24,6 +24,30 @@ from attnmarket.gaussian import (
 )
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: GaussianScenario(NAN, (1.0,), 0.01),
+    lambda: GaussianScenario(1.0, (1.0, NAN), 0.01),
+    lambda: GaussianScenario(1.0, (1.0,), NAN),
+    lambda: CorrelatedScenario(1.0, 1.0, 1.0, NAN, 0.0, 0.01),
+    lambda: CorrelatedScenario(1.0, 1.0, 1.0, 0.6, 0.0, NAN),
+    lambda: symmetry_gap(1.0, NAN, 2, 0.01),
+    lambda: symmetry_gap(1.0, 2.0, 2, 0.01, grid_step=NAN),
+    lambda: correlation_threshold(1.0, NAN, 1.0),
+    lambda: binary_action_rate(NAN, 0.01),
+    lambda: bridge_schedule(1.0, NAN),
+    lambda: large_n_gaussian(NAN, 1.0, 0.01, [1, 2]),
+    lambda: large_n_gaussian(1.0, 1.0, NAN, [1, 2]),
+], ids=["scenario-p0", "scenario-p", "scenario-c", "correlated-pc",
+        "correlated-c", "symmetry-total", "symmetry-step", "threshold",
+        "binary-action", "bridge", "large-n-p0", "large-n-c"])
+def test_nan_parameter_raises_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 # -- rates and payoffs -------------------------------------------------------------
 
 def test_rates_symmetric_pair():

@@ -42,6 +42,18 @@ def test_environment_validation():
                        ("a0", "a1"), [[1.0, 0.0], [1.0, 1.0]])
 
 
+@pytest.mark.parametrize("weights, likelihood", [
+    ((0.5, float("nan")), [[0.6, 0.4], [0.4, 0.6]]),
+    ((0.5, 0.5), [[0.6, 0.4], [float("nan"), 0.6]]),
+])
+def test_nan_weight_or_likelihood_is_refused(weights, likelihood):
+    with pytest.raises(ValueError, match="weights|likelihood"):
+        IIDEnvironment(("s0", "s1"), weights, ("0", "1"), likelihood,
+                       ("a0", "a1"), [[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError):
+        default_environment(accuracy=float("nan"))
+
+
 @pytest.mark.parametrize("second, distinct", [
     ([0.600001, 0.399999], True),
     ([0.6 + 1e-13, 0.4 - 1e-13], False),

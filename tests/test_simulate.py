@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from test_equilibrium import small_priors
 
 from attnmarket import presets
+from attnmarket.cli import load_scenario
 from attnmarket.environment import Experiment
 from attnmarket.equilibrium import StateGraph, aon_rates
 from attnmarket.errors import NonAoNPolicy, RoundLimitExceeded
@@ -21,6 +22,7 @@ from attnmarket.simulate import (
     GreedyMyopic,
     RandomOrder,
     StopAlways,
+    _rate_table,
     episode_rng,
     equilibrium_policies,
     holdup_demo,
@@ -380,14 +382,57 @@ def test_nan_or_negative_rates_are_refused(pair, bad):
     graph = profile.graph
     at = graph.node_id((1,), ("T",))
     policies = equilibrium_policies(profile)
-    table = {k: profile.rates.get((k, 2), 0.0) for k in range(len(graph))}
-    policies[2] = AoNTablePolicy.from_table(2, {**table, at: bad})
+    table = profile.rates[:, 1].copy()
+    table[at] = bad
+    policies[2] = AoNTablePolicy(2, table)
     message = f"sender 2: rate {bad!r} at state {at}"
     with pytest.raises(ValueError, match=re.escape(message)):
         solve_receiver_dp(dp, prior, 0.1, policies, graph=graph)
     for receiver in (FixedOrder(), StopAlways()):
         with pytest.raises(ValueError, match=re.escape(message)):
             monte_carlo(dp, prior, 0.1, policies, receiver, 10, seed=0)
+
+
+def test_first_bad_rate_by_sender_then_state(pair):
+    prior, dp, profile = pair
+    graph = profile.graph
+    ids = [graph.node_id((i,), (v,)) for i in (1, 2) for v in "HT"]
+    tables = [profile.rates[:, i].copy() for i in range(2)]
+    tables[1][0] = -1.0                          # sender 2 at the root
+    tables[0][max(ids[2:])] = np.nan             # sender 1, later states
+    tables[0][min(ids[2:])] = -0.5
+    policies = {i: AoNTablePolicy(i, t) for i, t in enumerate(tables, 1)}
+    with pytest.raises(ValueError, match=re.escape(
+            f"sender 1: rate -0.5 at state {min(ids[2:])}")):
+        _rate_table(graph, policies)
+
+
+def test_nan_where_the_sender_is_revealed_is_ignored(pair):
+    prior, dp, profile = pair
+    graph = profile.graph
+    policies = equilibrium_policies(profile)
+    table = profile.rates[:, 1].copy()
+    table[graph.cells[:, 1] >= 0] = np.nan
+    assert np.isnan(table).any()
+    policies[2] = AoNTablePolicy(2, table)
+    assert np.array_equal(_rate_table(graph, policies),
+                          _rate_table(graph, equilibrium_policies(profile)))
+
+
+@pytest.mark.parametrize("name", ["coin_match", "hypothesis_testing",
+                                  "pair_guess", "three_action_signals",
+                                  "iid-7"])
+def test_rate_table_is_the_capped_profile(scenario_dir, name):
+    if name == "iid-7":
+        prior, dp = presets.conditionally_iid_signals(0.8, 7)
+        cost = 0.01
+    else:
+        s = load_scenario(scenario_dir / f"{name}.yaml")
+        prior, dp, cost = s.prior, s.dp, s.cost
+    profile = aon_rates(dp, prior, cost, force=True)
+    assert profile.rates.shape == (len(profile.graph), prior.n_senders)
+    table = _rate_table(profile.graph, equilibrium_policies(profile))
+    assert np.array_equal(table, np.minimum(profile.rates, 1.0))
 
 
 def test_policies_beyond_the_senders_are_ignored(pair):
