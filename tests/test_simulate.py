@@ -394,7 +394,7 @@ def test_nan_or_negative_rates_are_refused(pair, bad):
 
 
 def test_first_bad_rate_by_sender_then_state(pair):
-    prior, dp, profile = pair
+    _, _, profile = pair
     graph = profile.graph
     ids = [graph.node_id((i,), (v,)) for i in (1, 2) for v in "HT"]
     tables = [profile.rates[:, i].copy() for i in range(2)]
@@ -408,7 +408,7 @@ def test_first_bad_rate_by_sender_then_state(pair):
 
 
 def test_nan_where_the_sender_is_revealed_is_ignored(pair):
-    prior, dp, profile = pair
+    _, _, profile = pair
     graph = profile.graph
     policies = equilibrium_policies(profile)
     table = profile.rates[:, 1].copy()
