@@ -69,9 +69,10 @@ EXIT_RUNTIME = 3
 
 
 def write_csv(path, header, rows):
-    """Rows of Python ``str``, ``int`` and ``float`` values; the csv module
-    writes a float as its shortest round-trip decimal (``repr``)."""
-    with open(path, "w", newline="") as fh:
+    """Rows of Python ``str``, ``int`` and ``float`` values, in UTF-8; the
+    csv module writes a float as its shortest round-trip decimal
+    (``repr``)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -175,6 +176,12 @@ def _need(mapping, key, where):
     return mapping[key]
 
 
+def _mapping(value, where) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{where} must be a mapping, got {value!r}")
+    return value
+
+
 def _number(value, where) -> float:
     try:
         return float(value)
@@ -204,19 +211,24 @@ def _integer(value, where) -> int:
 
 def _numbers(values, where) -> np.ndarray:
     try:
-        return np.asarray(values, dtype=float)
+        out = np.asarray(values, dtype=float)
     except (TypeError, ValueError):
-        raise ScenarioError(
-            f"{where} must list numbers, got {values!r}") from None
+        out = None
+    if out is None or not np.all(np.isfinite(out)):
+        raise ScenarioError(f"{where} must list finite numbers, "
+                            f"got {values!r}")
+    return out
 
 
 def _read_yaml(path):
     """The parsed file, by libyaml's parser where PyYAML was built with it
     and by the pure-Python one otherwise: both build the same values
-    through the same constructor and resolver."""
+    through the same constructor and resolver.  The file is read as
+    bytes, so the parser detects its encoding (UTF-8 or UTF-16), not the
+    locale."""
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             return yaml.load(fh, Loader=loader)
     except FileNotFoundError:
         raise ScenarioError(f"scenario file not found: {path}") from None
@@ -267,7 +279,7 @@ def load_scenario(path) -> Scenario:
 
 
 def _parse_finite(raw):
-    comp = _need(raw, "components", "scenario")
+    comp = _mapping(_need(raw, "components", "scenario"), "components")
     state_values = comp.get("state") or ["-"]
     senders = _need(comp, "senders", "components")
     if not isinstance(senders, list) or not senders:
@@ -275,7 +287,7 @@ def _parse_finite(raw):
     spaces = []
     for i, values in enumerate([state_values] + senders):
         where = f"components.senders[{i - 1}]" if i else "components.state"
-        if i and (not isinstance(values, list) or not values):
+        if not isinstance(values, list) or not values:
             raise ScenarioError(f"{where} must be a non-empty list of values")
         try:  # duplicate or unhashable values
             spaces.append(ComponentSpace(i, tuple(values)))
@@ -285,10 +297,10 @@ def _parse_finite(raw):
     try:
         prior = JointPrior(spaces, _prior_mass(_need(raw, "prior", "scenario"),
                                                shape))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # entries that are not numbers
         raise ScenarioError(f"invalid prior: {exc}") from None
 
-    decision = _need(raw, "decision", "scenario")
+    decision = _mapping(_need(raw, "decision", "scenario"), "decision")
     actions = _need(decision, "actions", "decision")
     if not isinstance(actions, list) or not actions:
         raise ScenarioError("decision.actions must be a non-empty list")
@@ -299,20 +311,21 @@ def _parse_finite(raw):
     if not distinct:
         raise ScenarioError(f"decision.actions must list distinct labels, "
                             f"got {actions!r}")
-    utility = _need(decision, "utility", "decision")
+    utility = _mapping(_need(decision, "utility", "decision"),
+                       "decision.utility")
     if ("by_state" in utility) == ("by_joint" in utility):
         raise ScenarioError(
             "decision.utility must have exactly one of 'by_state' or 'by_joint'")
     block = "by_state" if "by_state" in utility else "by_joint"
-    unknown = [a for a in utility[block] if a not in actions]
+    rows = _mapping(utility[block], f"decision.utility.{block}")
+    unknown = [a for a in rows if a not in actions]
     if unknown:
         raise ScenarioError(f"decision.utility.{block} names {unknown[0]!r}, "
                             "which is not in decision.actions")
     if "by_state" in utility:
         table = []
         for a in actions:
-            row = _numbers(_need(utility["by_state"], a,
-                                 "decision.utility.by_state"),
+            row = _numbers(_need(rows, a, "decision.utility.by_state"),
                            f"decision.utility.by_state[{a!r}]")
             if row.shape != (shape[0],):
                 raise ScenarioError(
@@ -324,8 +337,7 @@ def _parse_finite(raw):
     else:
         blocks = []
         for a in actions:
-            row = _numbers(_need(utility["by_joint"], a,
-                                 "decision.utility.by_joint"),
+            row = _numbers(_need(rows, a, "decision.utility.by_joint"),
                            f"decision.utility.by_joint[{a!r}]").ravel()
             if row.size != int(np.prod(shape)):
                 raise ScenarioError(
@@ -340,6 +352,7 @@ def _prior_mass(prior_block, shape) -> np.ndarray:
     """The joint mass a prior block describes, as written (not
     renormalized); an invalid probability vector in it raises
     ``ValueError`` naming its field."""
+    prior_block = _mapping(prior_block, "prior")
     if ("dense" in prior_block) == ("product" in prior_block):
         raise ScenarioError("prior must have exactly one of 'dense' or 'product'")
     if "dense" in prior_block:
@@ -350,14 +363,14 @@ def _prior_mass(prior_block, shape) -> np.ndarray:
                 f"{int(np.prod(shape))} (row-major over state x senders)")
         probabilities(flat, "prior.dense")
         return flat.reshape(shape)
-    product = prior_block["product"]
+    product = _mapping(prior_block["product"], "prior.product")
     marginal = np.asarray(_need(product, "state", "prior.product"), dtype=float)
     if marginal.shape != (shape[0],):
         raise ScenarioError("prior.product.state length must match the "
                             "state value list")
     probabilities(marginal, "prior.product.state")
     conds = _need(product, "conditionals", "prior.product")
-    if len(conds) != len(shape) - 1:
+    if not isinstance(conds, list) or len(conds) != len(shape) - 1:
         raise ScenarioError("prior.product.conditionals needs one matrix "
                             "per sender")
     mass = marginal.reshape((shape[0],) + (1,) * len(conds))
@@ -433,7 +446,7 @@ class RunReport:
     def write(self) -> str:
         """Write ``report.json``, listing the files written before it."""
         path = self._path("report.json")
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             write_json(fh, {
                 "command": self.command,
                 "scenario": self.scenario,
@@ -798,6 +811,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys.stdout, "reconfigure"):  # a text stream, not a StringIO
+        # a label that the locale's encoding lacks prints escaped
+        sys.stdout.reconfigure(errors="backslashreplace")
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "pc", None) is None and getattr(args, "sweep_kind", "") == "alpha":

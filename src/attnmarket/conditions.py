@@ -14,14 +14,19 @@ and P at the belief are linear in ``w``.  Each sender's three tables are
 built once per call from the prior lattice's per-value entries
 (``_sender_tables``): her expected utilities per action and value over
 the competitors' joint, the terms of H_i summed over her values, and the
-mass summed over her values.  A sample keeps only its likelihood vectors
-and its joint of the sender components, and is scored from three
-products with ``w``: no lattice and no payoff x senders array per sample.
-H_i's terms in the tables and G_i's per sample come from
-``decision._gain_terms``, the kernel of the lattice's G_i.
-Before it is scored, the sample's joint is certified against the
+mass summed over her values.  H_i's terms in the tables and G_i's per
+sample come from ``decision._gain_terms``, the kernel of the lattice's G_i.
+
+A sender's samples are one batch (``_garble``): one loop makes the
+generator's draws, then the garblings are applied as arrays, one step
+at a time, to all samples' joints of the sender components and their
+likelihood vectors.  Each sample's joint is certified against the
 prior's by ``environment._ratio_test``, the cross-multiplication test of
-``no_direct_info``, whose prior side is gathered once per sender.
+``no_direct_info``, whose prior side is gathered once per sender.  The
+batch is scored by three stacked matrix-vector products with the
+samples' ``w``, one ``_gain_terms`` and one ``_score_substitutes`` call,
+in draw order: no lattice and no payoff x senders array per sample, and
+each sample's floats are those of scoring it alone.
 """
 
 from __future__ import annotations
@@ -48,6 +53,12 @@ from .tolerance import SLACK_TOL
 # RSS over the lattice's by 2.4 MB and 9.0 MB, mostly the witness dicts
 # (one 2-core Xeon, Python 3.11, numpy 2.4).
 MAX_SUBSET_SENDERS = 9
+
+# A batch of garbled samples holds at most this many joint cells, or
+# expected utilities per action and value, per array, so that memory stays
+# bounded on wide joints: at 20 samples the benchmark scenarios take one
+# batch each, and a 41 x 41 x 41 joint goes 3 samples at a time.
+BATCH_ENTRIES = 1 << 18
 
 
 @dataclass
@@ -108,28 +119,79 @@ def check_assumption2(dp: DecisionProblem, prior: JointPrior,
     return report
 
 
-def _garble(prior: JointPrior, joint: np.ndarray, others: list, rng):
-    """One random garbled belief: composed binary-channel garblings of the
-    ``others`` components, drawn from the prior's joint of the sender
-    components ``joint``, each a noisy indicator of a random set of value
-    indices.  Returns one likelihood vector per sender (ones where she is
-    not garbled) and the belief's joint of the sender components, up to
-    scale."""
-    n = prior.n_senders
-    liks = [np.ones(k) for k in prior.shape[1:]]
-    for _ in range(rng.integers(1, 4)):
-        j = int(rng.choice(others))
-        size = prior.shape[j]
-        ones = rng.choice(size, size=int(rng.integers(1, size)), replace=False)
-        p1 = np.full(size, float(rng.uniform(0.05, 0.45)))
-        p1[ones] = 1.0 - p1[ones]
-        kernel = np.stack([1.0 - p1, p1], axis=1)
-        kernel /= kernel.sum(axis=1, keepdims=True)  # as Experiment does
-        dist = joint.sum(axis=tuple(k for k in range(n) if k != j - 1)) @ kernel
-        lik = kernel[:, int(rng.choice(2, p=dist / dist.sum()))]
-        liks[j - 1] = liks[j - 1] * lik
-        joint = joint * lik.reshape((-1,) + (1,) * (n - j))
-    return liks, joint
+def _garble(joint: np.ndarray, others: list, samples: int, rng):
+    """``samples`` random garbled beliefs: composed binary-channel
+    garblings of the ``others`` components, drawn from the prior's joint
+    of the sender components ``joint``, each a noisy indicator of a
+    random set of value indices.  Returns one samples x k_j array of
+    likelihoods per sender (ones where she is not garbled) and the
+    beliefs' joints of the sender components (samples x k_1 ... k_n),
+    up to scale.
+
+    The generator's draws come first, in the order that garbling one
+    sample after another makes them.  ``rng.choice(others)`` draws
+    ``others[rng.integers(len(others))]``, and ``rng.choice(2, p=q)``
+    draws ``int(rng.random() >= q[0] / (q[0] + q[1]))``, so only that
+    uniform is kept.  The garblings are then applied step by step to all
+    samples at once, each message against its sample's joint so far.
+    """
+    sizes, n = joint.shape, joint.ndim
+    start = np.cumsum((0,) + sizes)  # sender j's values: start[j-1]:start[j]
+    steps = 3  # garblings per sample at most
+    draws = []  # step, sample, competitor, its marked columns, flip, uniform
+    for s in range(samples):
+        for t in range(rng.integers(1, steps + 1)):
+            j = others[rng.integers(len(others))]
+            ones = rng.choice(sizes[j - 1], replace=False,
+                              size=int(rng.integers(1, sizes[j - 1])))
+            draws.append((t, s, j, start[j - 1] + ones,
+                          rng.uniform(0.05, 0.45), rng.random()))
+    step, sample, competitor, ones, flips, uniforms = zip(*draws)
+    picked = np.zeros((steps, samples), dtype=int)  # 0 past a sample's last
+    flip, uniform = np.zeros((2, steps, samples))
+    picked[step, sample] = competitor
+    flip[step, sample] = flips
+    uniform[step, sample] = uniforms
+    marked = np.zeros((steps, samples, start[-1]), dtype=bool)
+    count = [len(v) for v in ones]
+    marked[np.repeat(step, count), np.repeat(sample, count),
+           np.concatenate(ones)] = True
+
+    owner = np.repeat(np.arange(1, n + 1), sizes)  # the sender of a column
+    rest = [tuple(b for b in range(1, n + 1) if b != a)
+            for a in range(1, n + 1)]
+    liks = np.ones((samples, start[-1]))
+    joints = np.tile(joint, (samples,) + (1,) * n)
+    for t in range(steps):
+        rows = np.flatnonzero(picked[t])
+        j = picked[t, rows]
+        garbled = owner == j[:, None]
+        f = flip[t, rows, None]
+        p1 = np.where(marked[t, rows], 1.0 - f, f)
+        kernel = np.stack([1.0 - p1, p1])
+        kernel /= kernel.sum(axis=0)  # as Experiment does
+        belief = joints[rows]
+        marginals = np.concatenate([belief.sum(axis=a) for a in rest], axis=1)
+        dist = np.sum(marginals * kernel, axis=2, where=garbled)
+        total = dist.sum(axis=0)
+        if not np.all((0.0 < total) & (total < np.inf)):
+            raise AttnMarketError("a garbling's message distribution is "
+                                  "not finite and positive")
+        q = dist / total
+        message = (uniform[t, rows] >= q[0] / (q[0] + q[1]))[:, None]
+        lik = np.where(garbled, np.where(message, kernel[1], kernel[0]), 1.0)
+        liks[rows] *= lik
+        for a in set(j.tolist()):  # a row garbling another axis: times 1
+            shape = [len(rows)] + [1] * n
+            shape[a] = -1
+            belief *= lik[:, start[a - 1]:start[a]].reshape(shape)
+        joints[rows] = belief
+    return np.split(liks, start[1:-1], axis=1), joints
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row, the outer product of ``a``'s and ``b``'s rows, raveled."""
+    return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
 
 
 def _sender_tables(eu: np.ndarray, joint: np.ndarray, sender: int) -> tuple:
@@ -173,7 +235,9 @@ def check_substitutes(dp: DecisionProblem, prior: JointPrior,
 
     Layer one checks every exact-revelation belief exhaustively; layer two
     checks ``samples`` random garbled beliefs per sender (each certified to
-    carry no direct information from that sender).
+    carry no direct information from that sender).  Only competitors with
+    at least 2 values are garbled, so a sender with no such competitor
+    gets no garbled samples.
     """
     if samples < 0:
         raise ValueError("need a non-negative number of samples")
@@ -200,17 +264,23 @@ def check_substitutes(dp: DecisionProblem, prior: JointPrior,
             continue
         E, D, M = _sender_tables(eu, joint, i)
         certified = _ratio_test(joint, i)
-        for _ in range(samples):
-            liks, belief = _garble(prior, joint, others, rng)
-            if not certified(belief):
-                raise AttnMarketError(f"garbled belief for sender {i} carries "
-                                      "direct information from her own "
-                                      "component")
-            w = functools.reduce(np.multiply.outer,
-                                 liks[:i - 1] + liks[i:]).ravel()
-            own = E @ w
-            gain = _gain_terms(own, own.sum(axis=1, keepdims=True)).sum()
-            _score_substitutes(report, i, "garbled", gain, D @ w, M @ w,
+        batch = max(1, BATCH_ENTRIES // max(joint.size, E[..., 0].size))
+        for done in range(0, samples, batch):
+            liks, beliefs = _garble(joint, others, min(batch, samples - done),
+                                    rng)
+            for belief in beliefs:
+                if not certified(belief):
+                    raise AttnMarketError(
+                        f"garbled belief for sender {i} carries direct "
+                        "information from her own component")
+            # samples x 1 x the competitors' joint: each product below is
+            # one matrix-vector product per sample, summed as for one w
+            w = functools.reduce(_outer, liks[:i - 1] + liks[i:])[:, None]
+            own = np.moveaxis(np.matmul(E, w[..., None])[..., 0], 0, 1)
+            gain = _gain_terms(own, own.sum(axis=2, keepdims=True))
+            _score_substitutes(report, i, "garbled", gain.sum(axis=1),
+                               np.matmul(w, D[:, None]).ravel(),
+                               np.matmul(w, M[:, None]).ravel(),
                                lambda k: None)
     return report
 

@@ -318,10 +318,14 @@ def _ratio_test(p: np.ndarray, sender: int):
     p_first, p_second = pairs(p)
 
     def same(b: np.ndarray) -> bool:
-        b_first, b_second = pairs(b)
-        lhs, rhs = b_first * p_second, b_second * p_first
-        scale = np.maximum(np.maximum(lhs, rhs), TINY)
-        return bool(np.all(np.abs(lhs - rhs) <= ROUNDING * scale))
+        lhs, rhs = pairs(b)  # fresh arrays, worked on in place
+        lhs *= p_second
+        rhs *= p_first
+        diff = np.abs(lhs - rhs)
+        scale = np.maximum(lhs, rhs, out=lhs)
+        np.maximum(scale, TINY, out=scale)
+        scale *= ROUNDING
+        return bool(np.all(diff <= scale))
 
     return same
 

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from collections import OrderedDict, namedtuple
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import attnmarket
 from attnmarket import cli
 from attnmarket.cli import load_scenario, main
 from attnmarket.equilibrium import StateGraph, aon_rates
@@ -207,6 +211,42 @@ def test_malformed_scenario_field_is_input_error(tmp_path, capsys, mutate,
                                                  field):
     err = _refused(["solve", "--scenario", write_scenario(tmp_path, mutate)],
                    capsys, tmp_path)
+    assert field in err
+
+
+def _by_joint(base):
+    return base["decision"]["utility"]["by_joint"]
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+@pytest.mark.parametrize("mutate, field", [
+    (_fields(components=[["H", "T"], ["H", "T"]]), "components"),
+    (lambda base: base["decision"].update(utility=1.0), "decision.utility"),
+    (lambda base: base["decision"]["utility"].update(by_joint=1.0),
+     "decision.utility.by_joint"),
+    (lambda base: _by_joint(base).update(guess_HH=[NAN, 1, 1, 0]),
+     "decision.utility.by_joint['guess_HH']"),
+    (lambda base: _by_joint(base).update(guess_TT=[0, 1, 1, float("inf")]),
+     "decision.utility.by_joint['guess_TT']"),
+    (_fields(prior=0.5), "prior"),
+    (lambda base: base["prior"].update(product=0.5), "prior.product"),
+    (lambda base: base["prior"]["product"].update(conditionals=0.5),
+     "prior.product.conditionals"),
+    (_fields(prior={"dense": {"a": 1.0}}), "invalid prior"),
+    (_fields(decision=[1]), "decision must be a mapping"),
+    (lambda base: base["components"].update(state="HT"), "components.state"),
+], ids=["components-list", "utility-number", "by-joint-number",
+        "utility-nan", "utility-inf", "prior-number", "product-number",
+        "conditionals-number", "dense-mapping", "decision-list",
+        "state-string"])
+def test_malformed_pair_guess_shape_is_input_error(scenario_dir, tmp_path,
+                                                   capsys, command, mutate,
+                                                   field):
+    base = yaml.safe_load((scenario_dir / "pair_guess.yaml").read_text())
+    mutate(base)
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(base))
+    err = _refused([command, "--scenario", str(path)], capsys, tmp_path)
     assert field in err
 
 
@@ -963,3 +1003,53 @@ def test_check_and_solve_build_no_edge_arrays(scenario_dir, tmp_path,
                  "--out", str(tmp_path / command / name)])
     assert graphs
     assert all("edges" not in vars(graph) for graph in graphs)
+
+
+def _pair_guess_with_accent(scenario_dir, tmp_path, cost=0.1):
+    """scenarios/pair_guess.yaml with the sender value "H" written as a
+    letter outside ASCII, and the given cost."""
+    text = (scenario_dir / "pair_guess.yaml").read_text(encoding="utf-8")
+    scenario = tmp_path / "pair_guess.yaml"
+    scenario.write_text(text.replace("- [H, T]", "- [\u00e9, T]")
+                        .replace("cost: 0.1", f"cost: {cost}"),
+                        encoding="utf-8")
+    return str(scenario)
+
+
+def _run_in_locale(locale, argv):
+    """``python -m attnmarket.cli`` with ``argv`` under ``locale``, locale
+    coercion and UTF-8 mode off."""
+    env = {**os.environ, "LC_ALL": locale, "PYTHONCOERCECLOCALE": "0",
+           "PYTHONUTF8": "0",
+           "PYTHONPATH": str(Path(attnmarket.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "attnmarket.cli"] + argv,
+                          env=env, capture_output=True)
+
+
+def test_outputs_do_not_depend_on_the_locale(scenario_dir, tmp_path):
+    """A sender value outside ASCII reads and writes the same files under
+    an ASCII locale as under a UTF-8 one: the scenario is read as bytes and
+    every output is written in UTF-8."""
+    scenario = _pair_guess_with_accent(scenario_dir, tmp_path)
+    outputs = {}
+    for locale in ("POSIX", "C.utf8"):
+        out = tmp_path / locale
+        done = _run_in_locale(locale, ["solve", "--scenario", scenario,
+                                       "--out", str(out)])
+        assert done.returncode == 0, done.stderr.decode(errors="replace")
+        outputs[locale] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert outputs["POSIX"] == outputs["C.utf8"]
+    assert "\u00e9".encode() in outputs["POSIX"]["profile.csv"]
+
+
+def test_check_prints_a_label_the_locale_cannot_encode(scenario_dir,
+                                                       tmp_path):
+    """At a cost above every residual value, ``check`` prints witnesses
+    that name the value "\u00e9"; an ASCII locale prints it escaped."""
+    scenario = _pair_guess_with_accent(scenario_dir, tmp_path, cost=5.0)
+    for locale, label in (("POSIX", b"'\\xe9'"),
+                          ("C.utf8", "'\u00e9'".encode())):
+        done = _run_in_locale(locale, ["check", "--scenario", scenario])
+        assert done.returncode == 2, done.stderr.decode(errors="replace")
+        assert b"Traceback" not in done.stderr
+        assert label in done.stdout

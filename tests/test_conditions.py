@@ -461,3 +461,76 @@ def test_garbled_layer_matches_a_lattice_per_sample(scenario_dir, problem,
         assert g["revealed"] == w["revealed"]
         for key in ("value_now", "expected_residual_value"):
             assert g[key] == pytest.approx(w[key], rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def garbling_problems(draw):
+    """2-4 senders with alphabets of 1-3 values (a single-valued
+    competitor is never garbled), a payoff component of 1-3 values,
+    zero-mass cells and continuous random payoffs; then a number of
+    garbled samples per sender and a seed."""
+    import numpy as np
+    from attnmarket.decision import DecisionProblem
+    from attnmarket.environment import ComponentSpace, JointPrior
+    n = draw(st.integers(2, 4))
+    sizes = [draw(st.integers(1, 3)) for _ in range(n + 1)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mass = rng.random(sizes) * (rng.random(sizes) > 0.3)
+    mass.flat[rng.integers(mass.size)] += 0.5  # never all zero
+    spaces = tuple(ComponentSpace(k, tuple(f"v{j}" for j in range(s)))
+                   for k, s in enumerate(sizes))
+    actions = tuple(f"a{k}" for k in range(draw(st.integers(2, 3))))
+    dp = DecisionProblem(actions, rng.normal(size=[len(actions)] + sizes))
+    return (JointPrior(spaces, mass / mass.sum()), dp,
+            draw(st.integers(0, 7)), draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(garbling_problems())
+def test_garbled_batch_matches_a_lattice_per_sample_on_random_environments(
+        problem):
+    prior, dp, samples, seed = problem
+    got = check_substitutes(dp, prior, samples=samples, seed=seed)
+    want = _per_sample_lattice_report(dp, prior, samples=samples, seed=seed)
+    assert (got.checked, got.holds) == (want.checked, want.holds)
+    assert ([(w["sender"], w["layer"], w["revealed"]) for w in got.witnesses]
+            == [(w["sender"], w["layer"], w["revealed"])
+                for w in want.witnesses])
+    assert got.margin == pytest.approx(want.margin, rel=1e-12, abs=1e-12)
+    for g, w in zip(got.witnesses, want.witnesses):
+        for key in ("value_now", "expected_residual_value"):
+            assert g[key] == pytest.approx(w[key], rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).filter(any),
+       st.integers(1, 9))
+def test_garbling_draws_are_the_generator_choices(seed, weights, competitors):
+    """The garbled samples keep the draws of ``rng.choice``: a message
+    from ``choice(2, p=q)`` is ``random() >= q0 / (q0 + q1)``, and a
+    competitor from ``choice(others)`` is ``others[integers(len)]``."""
+    import numpy as np
+    q = np.array(weights) / sum(weights)
+    choose, draw = np.random.default_rng(seed), np.random.default_rng(seed)
+    others = np.arange(1, competitors + 1)
+    for _ in range(30):
+        assert int(choose.choice(2, p=q)) == int(
+            draw.random() >= q[0] / (q[0] + q[1]))
+        assert choose.choice(list(others)) == others[
+            draw.integers(len(others))]
+
+
+@pytest.mark.parametrize("entries", [1, 300])
+def test_garbled_batches_do_not_change_the_report(monkeypatch, entries):
+    """Samples scored one at a time, or a few at a time, give the report of
+    one batch, float for float: the draws run on, and every product sums
+    as it does for one sample."""
+    import attnmarket.conditions as conditions
+    prior, dp = presets.conditionally_iid_signals(n=4)
+    whole = check_substitutes(dp, prior, samples=20, seed=3)
+    monkeypatch.setattr(conditions, "BATCH_ENTRIES", entries)
+    parts = check_substitutes(dp, prior, samples=20, seed=3)
+    assert any(w["layer"] == "garbled" for w in whole.witnesses)
+    assert ((parts.checked, parts.holds, parts.margin, parts.witnesses)
+            == (whole.checked, whole.holds, whole.margin, whole.witnesses))
