@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -159,65 +160,130 @@ def write_json(fh, obj):
 class Scenario:
     name: str
     description: str
-    cost: float | None
+    cost: float
     prior: JointPrior | None
     dp: DecisionProblem | None
-    gaussian: dict | None
-    simulation: dict = field(default_factory=dict)
+    gaussian: GaussianScenario | None
+    correlated: CorrelatedScenario | None  # a gaussian block with ``pc``
+    simulation: dict  # replications, seed, round_cap and receiver_order
 
     @property
     def finite(self) -> bool:
         return self.prior is not None
 
 
-def _need(mapping, key, where):
-    if key not in mapping:
-        raise ScenarioError(f"missing '{key}' in {where}")
-    return mapping[key]
+# the least value of each count, as a flag or in a scenario's simulation block
+_LEAST = {"seed": 0, "su_samples": 0, "trace_episodes": 0, "mc_samples": 0,
+          "replications": 1, "round_cap": 1}
+_SIMULATION = {"replications": 10_000, "seed": 0,
+               "round_cap": DEFAULT_ROUND_CAP}  # the defaults for `simulate`
 
 
-def _mapping(value, where) -> dict:
-    if not isinstance(value, dict):
-        raise ScenarioError(f"{where} must be a mapping, got {value!r}")
-    return value
+class _Field:
+    """One node of a scenario file with its path there, such as ``cost``,
+    ``components.senders[0]`` or ``decision.utility.by_joint['a']``.  Each
+    reader returns the node converted or raises ``ScenarioError`` naming
+    the path.  A null field counts as an absent one."""
 
+    def __init__(self, value, path):
+        self.value, self.path = value, path
 
-def _number(value, where) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{where} must be a number, got {value!r}") from None
+    def refuse(self, requirement) -> ScenarioError:
+        return ScenarioError(f"{self.path or 'scenario'} must {requirement}, "
+                             f"got {self.value!r}")
 
+    def mapping(self) -> dict:
+        if not isinstance(self.value, dict):
+            raise self.refuse("be a mapping")
+        return self.value
 
-def _positive(value, where):
-    out = _number(value, where)
-    if not 0 < out < np.inf:  # NaN included
-        raise ScenarioError(f"{where} must be finite and positive, got {out}")
-    return out
+    def __contains__(self, key) -> bool:
+        return self.mapping().get(key) is not None
 
+    def get(self, key, default=None) -> _Field:
+        """The field ``key`` of this mapping, ``default`` where it is
+        absent."""
+        value = self.mapping().get(key)
+        return _Field(default if value is None else value,
+                      f"{self.path}.{key}" if self.path else key)
 
-def _integer(value, where) -> int:
-    """A whole number; anything else raises ``ScenarioError`` naming the
-    field."""
-    try:
-        out = int(value)
-    except (TypeError, ValueError, OverflowError):
-        out = None
-    if (out is None or isinstance(value, bool)
-            or (isinstance(value, float) and out != value)):
-        raise ScenarioError(f"{where} must be an integer, got {value!r}")
-    return out
+    def __getitem__(self, key) -> _Field:
+        """The field ``key`` of this mapping, which must be present."""
+        if key not in self:
+            raise ScenarioError(f"missing '{key}' in "
+                                f"{self.path or 'scenario'}")
+        return self.get(key)
 
+    def row(self, label) -> _Field:
+        """The entry ``label`` of this mapping of labelled rows."""
+        if label not in self:
+            raise ScenarioError(f"missing {label!r} in {self.path}")
+        return _Field(self.value[label], f"{self.path}[{label!r}]")
 
-def _numbers(values, where) -> np.ndarray:
-    try:
-        out = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        out = None
-    if out is None or not np.all(np.isfinite(out)):
-        raise ScenarioError(f"{where} must list finite numbers, "
-                            f"got {values!r}")
-    return out
+    def entries(self, count=None) -> list:
+        """The entries of this non-empty list (of ``count`` entries, when
+        given)."""
+        if (not isinstance(self.value, list) or not self.value
+                or count not in (None, len(self.value))):
+            raise self.refuse(f"be a list of {count} entries" if count
+                              else "be a non-empty list")
+        return [_Field(v, f"{self.path}[{i}]")
+                for i, v in enumerate(self.value)]
+
+    def labels(self) -> tuple:
+        """This non-empty list of distinct values."""
+        try:  # an unhashable value raises TypeError
+            ok = isinstance(self.value, list) and (
+                0 < len(set(self.value)) == len(self.value))
+        except TypeError:
+            ok = False
+        if not ok:
+            raise self.refuse("be a non-empty list of distinct values")
+        return tuple(self.value)
+
+    def number(self) -> float:
+        """A number as YAML writes one, or a string that ``float`` reads;
+        not a boolean."""
+        try:
+            if not isinstance(self.value, bool):
+                return float(self.value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise self.refuse("be a number")
+
+    def positive(self) -> float:
+        out = self.number()
+        if not 0 < out < np.inf:  # NaN included
+            raise self.refuse("be finite and positive")
+        return out
+
+    def integer(self, least) -> int:
+        """A whole number of at least ``least``."""
+        try:
+            out = int(self.value)
+        except (TypeError, ValueError, OverflowError):
+            out = None
+        if (out is None or isinstance(self.value, bool)
+                or (isinstance(self.value, float) and out != self.value)):
+            raise self.refuse("be an integer")
+        if out < least:
+            raise self.refuse(f"be at least {least}")
+        return out
+
+    def numbers(self, shape, exact=True) -> np.ndarray:
+        """This list of numbers as an array of ``shape``: nested exactly as
+        ``shape``, or where not ``exact``, nested any way with as many
+        entries, read row-major."""
+        try:
+            out = np.asarray(self.value, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise self.refuse("list numbers") from None
+        if exact and out.shape != shape:
+            raise self.refuse(f"be {' x '.join(map(str, shape))} numbers")
+        if out.size != math.prod(shape):
+            raise ScenarioError(f"{self.path} has {out.size} entries, "
+                                f"expected {math.prod(shape)}")
+        return out.reshape(shape)
 
 
 def _read_yaml(path):
@@ -237,152 +303,88 @@ def _read_yaml(path):
 
 
 def load_scenario(path) -> Scenario:
-    raw = _read_yaml(path)
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario file must be a mapping")
-    version = raw.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ScenarioError(
-            f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
-
-    has_finite = "components" in raw
-    has_gaussian = "gaussian" in raw
-    if has_finite == has_gaussian:
+    """The scenario file at ``path``, every field checked: a file is valid
+    or invalid whatever the command that reads it."""
+    root = _Field(_read_yaml(path), "")
+    version = root.get("schema_version")
+    if version.value != SCHEMA_VERSION:
+        raise version.refuse(f"be {SCHEMA_VERSION}")
+    if ("components" in root) == ("gaussian" in root):
         raise ScenarioError(
             "exactly one of a finite environment (components/prior/decision) "
             "or a gaussian block must be present")
-
-    cost = raw.get("cost")
-    if cost is not None:
-        cost = _positive(cost, "cost")
-
-    prior = dp = gaussian = None
-    if has_finite:
-        if cost is None:
-            raise ScenarioError("missing 'cost' for a finite environment")
-        prior, dp = _parse_finite(raw)
+    cost = root["cost"].positive()
+    prior = dp = gaussian = correlated = None
+    if "components" in root:
+        prior, dp = _parse_finite(root)
     else:
-        gaussian = _parse_gaussian(_need(raw, "gaussian", "scenario"))
-
-    simulation = raw.get("simulation") or {}
-    if not isinstance(simulation, dict):
-        raise ScenarioError("'simulation' must be a mapping")
+        gaussian, correlated = _parse_gaussian(root["gaussian"], cost)
+    n = prior.n_senders if prior else len(gaussian.p)
     return Scenario(
-        name=str(raw.get("name", os.path.basename(str(path)))),
-        description=str(raw.get("description", "")),
+        name=str(root.get("name", os.path.basename(str(path))).value),
+        description=str(root.get("description", "").value),
         cost=cost,
         prior=prior,
         dp=dp,
         gaussian=gaussian,
-        simulation=simulation,
+        correlated=correlated,
+        simulation=_parse_simulation(root.get("simulation", {}), n),
     )
 
 
-def _parse_finite(raw):
-    comp = _mapping(_need(raw, "components", "scenario"), "components")
-    state_values = comp.get("state") or ["-"]
-    senders = _need(comp, "senders", "components")
-    if not isinstance(senders, list) or not senders:
-        raise ScenarioError("components.senders must list at least one sender")
-    spaces = []
-    for i, values in enumerate([state_values] + senders):
-        where = f"components.senders[{i - 1}]" if i else "components.state"
-        if not isinstance(values, list) or not values:
-            raise ScenarioError(f"{where} must be a non-empty list of values")
-        try:  # duplicate or unhashable values
-            spaces.append(ComponentSpace(i, tuple(values)))
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"{where}: {exc}") from None
+def _parse_finite(root: _Field):
+    components = root["components"]
+    spaces = [ComponentSpace(i, f.labels()) for i, f in enumerate(
+        [components.get("state", ["-"])] + components["senders"].entries())]
     shape = tuple(s.size for s in spaces)
+    block = root["prior"]
     try:
-        prior = JointPrior(spaces, _prior_mass(_need(raw, "prior", "scenario"),
-                                               shape))
-    except (TypeError, ValueError) as exc:  # entries that are not numbers
+        prior = JointPrior(spaces, _prior_mass(block, shape))
+    except (ScenarioError, ValueError) as exc:
         raise ScenarioError(f"invalid prior: {exc}") from None
 
-    decision = _mapping(_need(raw, "decision", "scenario"), "decision")
-    actions = _need(decision, "actions", "decision")
-    if not isinstance(actions, list) or not actions:
-        raise ScenarioError("decision.actions must be a non-empty list")
-    try:
-        distinct = len(set(actions)) == len(actions)
-    except TypeError:  # an unhashable label
-        distinct = False
-    if not distinct:
-        raise ScenarioError(f"decision.actions must list distinct labels, "
-                            f"got {actions!r}")
-    utility = _mapping(_need(decision, "utility", "decision"),
-                       "decision.utility")
+    decision = root["decision"]
+    actions = decision["actions"].labels()
+    utility = decision["utility"]
     if ("by_state" in utility) == ("by_joint" in utility):
-        raise ScenarioError(
-            "decision.utility must have exactly one of 'by_state' or 'by_joint'")
-    block = "by_state" if "by_state" in utility else "by_joint"
-    rows = _mapping(utility[block], f"decision.utility.{block}")
-    unknown = [a for a in rows if a not in actions]
-    if unknown:
-        raise ScenarioError(f"decision.utility.{block} names {unknown[0]!r}, "
-                            "which is not in decision.actions")
-    if "by_state" in utility:
-        table = []
-        for a in actions:
-            row = _numbers(_need(rows, a, "decision.utility.by_state"),
-                           f"decision.utility.by_state[{a!r}]")
-            if row.shape != (shape[0],):
-                raise ScenarioError(
-                    f"utility.by_state[{a!r}] must list one value per "
-                    "state realization")
-            table.append(row)
-        dp = DecisionProblem.from_state_table(actions, np.stack(table),
-                                              len(shape))
+        raise utility.refuse("have exactly one of 'by_state' or 'by_joint'")
+    if "by_state" in utility:  # a by_joint row constant over the senders
+        rows = utility["by_state"]
+        row_shape = shape[:1] + (1,) * (len(shape) - 1)
     else:
-        blocks = []
-        for a in actions:
-            row = _numbers(_need(rows, a, "decision.utility.by_joint"),
-                           f"decision.utility.by_joint[{a!r}]").ravel()
-            if row.size != int(np.prod(shape)):
-                raise ScenarioError(
-                    f"utility.by_joint[{a!r}] has {row.size} entries, "
-                    f"expected {int(np.prod(shape))}")
-            blocks.append(row.reshape(shape))
-        dp = DecisionProblem(actions, np.stack(blocks))
-    return prior, dp
+        rows, row_shape = utility["by_joint"], shape
+    unknown = set(rows.mapping()).difference(actions)
+    if unknown:
+        raise ScenarioError(f"{rows.path} names {unknown.pop()!r}, which is "
+                            "not one of the actions")
+    table = np.stack([rows.row(a).numbers(row_shape, exact=False)
+                      for a in actions])
+    finite = np.isfinite(table).reshape(len(actions), -1).all(axis=1)
+    if not finite.all():
+        raise rows.row(actions[finite.argmin()]).refuse("list finite numbers")
+    return prior, DecisionProblem(actions, table)
 
 
-def _prior_mass(prior_block, shape) -> np.ndarray:
+def _prior_mass(prior: _Field, shape) -> np.ndarray:
     """The joint mass a prior block describes, as written (not
     renormalized); an invalid probability vector in it raises
     ``ValueError`` naming its field."""
-    prior_block = _mapping(prior_block, "prior")
-    if ("dense" in prior_block) == ("product" in prior_block):
-        raise ScenarioError("prior must have exactly one of 'dense' or 'product'")
-    if "dense" in prior_block:
-        flat = np.asarray(prior_block["dense"], dtype=float).ravel()
-        if flat.size != int(np.prod(shape)):
-            raise ScenarioError(
-                f"prior.dense has {flat.size} entries, expected "
-                f"{int(np.prod(shape))} (row-major over state x senders)")
-        probabilities(flat, "prior.dense")
-        return flat.reshape(shape)
-    product = _mapping(prior_block["product"], "prior.product")
-    marginal = np.asarray(_need(product, "state", "prior.product"), dtype=float)
-    if marginal.shape != (shape[0],):
-        raise ScenarioError("prior.product.state length must match the "
-                            "state value list")
-    probabilities(marginal, "prior.product.state")
-    conds = _need(product, "conditionals", "prior.product")
-    if not isinstance(conds, list) or len(conds) != len(shape) - 1:
-        raise ScenarioError("prior.product.conditionals needs one matrix "
-                            "per sender")
-    mass = marginal.reshape((shape[0],) + (1,) * len(conds))
-    for i, rows in enumerate(conds, start=1):
-        table = np.asarray(rows, dtype=float)
-        if table.shape != (shape[0], shape[i]):
-            raise ScenarioError(
-                f"prior.product.conditionals[{i - 1}] must be "
-                f"{shape[0]} rows x {shape[i]} values")
-        for r in range(shape[0]):
-            probabilities(table[r],
-                          f"prior.product.conditionals[{i - 1}] row {r}")
+    if ("dense" in prior) == ("product" in prior):
+        raise prior.refuse("have exactly one of 'dense' or 'product'")
+    if "dense" in prior:
+        dense = prior["dense"]
+        mass = dense.numbers(shape, exact=False)
+        probabilities(mass, dense.path)
+        return mass
+    state = prior["product"]["state"]
+    mass = state.numbers(shape[:1])
+    probabilities(mass, state.path)
+    conditionals = prior["product"]["conditionals"].entries(len(shape) - 1)
+    mass = mass.reshape(shape[:1] + (1,) * len(conditionals))
+    for i, conditional in enumerate(conditionals, start=1):
+        table = conditional.numbers((shape[0], shape[i]))
+        for r, row in enumerate(table):
+            probabilities(row, f"{conditional.path} row {r}")
         block_shape = [1] * len(shape)
         block_shape[0] = shape[0]
         block_shape[i] = shape[i]
@@ -390,25 +392,36 @@ def _prior_mass(prior_block, shape) -> np.ndarray:
     return mass
 
 
-def _parse_gaussian(block) -> dict:
-    if not isinstance(block, dict):
-        raise ScenarioError("'gaussian' must be a mapping")
-    p0 = _positive(_need(block, "p0", "gaussian"), "gaussian.p0")
-    p = _need(block, "p", "gaussian")
-    if not isinstance(p, list) or not p:
-        raise ScenarioError(f"gaussian.p must be a non-empty list, got {p!r}")
-    p = [_positive(x, "gaussian.p[]") for x in p]
-    out = {"p0": p0, "p": tuple(p)}
-    if "pc" in block:
-        out["pc"] = _positive(block["pc"], "gaussian.pc")
-        if len(p) != 2:
-            raise ScenarioError("a correlated gaussian block needs exactly "
-                                "two senders")
-    if "alpha" in block:
-        alpha = _number(block["alpha"], "gaussian.alpha")
-        if not 0.0 <= alpha <= 1.0:
-            raise ScenarioError("gaussian.alpha must lie in [0, 1]")
-        out["alpha"] = alpha
+def _parse_gaussian(block: _Field, cost):
+    """The gaussian scenario and, where ``pc`` is given, the correlated
+    pair."""
+    p0 = block["p0"].positive()
+    p = block["p"]
+    precisions = p.numbers((len(p.entries()),)).tolist()
+    try:  # its own check refuses a precision that is not finite and positive
+        scenario = GaussianScenario(p0, precisions, cost)
+    except ValueError as exc:
+        raise ScenarioError(f"{p.path}[]: {exc}") from None
+    alpha = block.get("alpha", 0.0)
+    weight = alpha.number()
+    if not 0.0 <= weight <= 1.0:
+        raise alpha.refuse("lie in [0, 1]")
+    if "pc" not in block:
+        return scenario, None
+    if len(scenario.p) != 2:
+        raise p.refuse("list two precisions where 'pc' is given")
+    pc = block["pc"].positive()
+    return scenario, CorrelatedScenario(p0, *scenario.p, pc, weight, cost)
+
+
+def _parse_simulation(block: _Field, n) -> dict:
+    """The settings of `simulate` that a scenario gives, else the
+    defaults."""
+    out = {name: block.get(name, default).integer(_LEAST[name])
+           for name, default in _SIMULATION.items()}
+    order = block.get("receiver_order", "lowest")
+    _receiver_policy(order, n)
+    out["receiver_order"] = order.value
     return out
 
 
@@ -540,10 +553,7 @@ def _correlation_row(cs):
 
 
 def _solve_gaussian(scenario, args, report):
-    g = scenario.gaussian
-    if scenario.cost is None:
-        raise ScenarioError("missing 'cost' for a gaussian scenario")
-    s = GaussianScenario(g["p0"], g["p"], scenario.cost)
+    s = scenario.gaussian
     rates = gaussian_rates(s).tolist()
     payoff = gaussian_receiver_payoff(s)
     report.csv("gaussian_rates.csv",
@@ -554,10 +564,8 @@ def _solve_gaussian(scenario, args, report):
                [("receiver_payoff", payoff),
                 ("total_precision", s.total_precision), ("cost", s.c)])
     report.summary = {"rates": rates, "receiver_payoff": payoff}
-    if "pc" in g:
-        row = _correlation_row(CorrelatedScenario(
-            g["p0"], g["p"][0], g["p"][1], g["pc"], g.get("alpha", 0.0),
-            scenario.cost))
+    if scenario.correlated:
+        row = _correlation_row(scenario.correlated)
         report.csv("correlation.csv", CORRELATION_HEADER, [row])
         report.summary["correlation_threshold"] = row[1]
 
@@ -570,46 +578,35 @@ def cmd_solve(args) -> int:
     return report.finish()
 
 
-def _receiver_policy(spec: str, n: int):
+def _receiver_policy(order: _Field, n: int):
+    """The receiver that ``lowest``, ``random`` or ``perm:i,j,...`` (a
+    permutation of the senders 1..n) names."""
+    spec = order.value
     if spec == "lowest":
         return FixedOrder()
     if spec == "random":
         return RandomOrder()
-    if spec.startswith("perm:"):
+    if isinstance(spec, str) and spec.startswith("perm:"):
         try:
-            order = tuple(int(tok) for tok in spec[5:].split(","))
+            perm = tuple(int(tok) for tok in spec[5:].split(","))
         except ValueError:
-            raise ScenarioError(f"bad permutation spec {spec!r}") from None
-        if sorted(order) != list(range(1, n + 1)):
-            raise ScenarioError(
-                f"receiver order {order} must permute senders 1..{n}")
-        return FixedOrder(order)
-    raise ScenarioError(f"unknown receiver order {spec!r}")
+            perm = ()
+        if sorted(perm) == list(range(1, n + 1)):
+            return FixedOrder(perm)
+    raise order.refuse(f"be lowest, random or perm: and the senders 1..{n} "
+                       "in some order")
 
 
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     if not scenario.finite:
         raise ScenarioError("'simulate' needs a finite environment block")
-    sim = scenario.simulation
-
-    def setting(name, default):  # the flag, else the scenario's, else default
-        flag = getattr(args, name)
-        return (flag if flag is not None
-                else _integer(sim.get(name, default), f"simulation.{name}"))
-
-    replications = setting("replications", 10_000)
-    seed = setting("seed", 0)
-    order = args.receiver_order or str(sim.get("receiver_order", "lowest"))
-    round_cap = setting("round_cap", DEFAULT_ROUND_CAP)
-    if replications < 1:
-        raise ScenarioError("replications must be at least 1")
-    if seed < 0:
-        raise ScenarioError(f"simulation.seed is negative: {seed}")
-    if round_cap < 1:
-        raise ScenarioError("round cap must be at least 1")
+    replications, seed, round_cap, order = (  # each flag, else the scenario's
+        scenario.simulation[name] if getattr(args, name) is None
+        else getattr(args, name)
+        for name in ("replications", "seed", "round_cap", "receiver_order"))
     n = scenario.prior.n_senders
-    receiver = _receiver_policy(order, n)
+    receiver = _receiver_policy(_Field(order, "--receiver-order"), n)
 
     report = RunReport("simulate", scenario.name, args.out)
     profile = aon_rates(scenario.dp, scenario.prior, scenario.cost,
@@ -819,9 +816,11 @@ def main(argv=None) -> int:
     if getattr(args, "pc", None) is None and getattr(args, "sweep_kind", "") == "alpha":
         args.pc = [0.4, 0.6]
     try:
-        for name in ("seed", "su_samples", "trace_episodes", "mc_samples"):
-            if (getattr(args, name, None) or 0) < 0:
-                raise ScenarioError(f"--{name.replace('_', '-')} is negative")
+        for name, least in _LEAST.items():
+            value = getattr(args, name, None)
+            if value is not None and value < least:
+                raise ScenarioError(f"--{name.replace('_', '-')} must be at "
+                                    f"least {least}, got {value}")
         code = args.func(args)
     except ScenarioError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -41,6 +41,10 @@ class GaussianScenario:
         object.__setattr__(self, "p", tuple(float(x) for x in self.p))
         if not all(x > 0 for x in (self.p0, self.c) + self.p):  # NaN too
             raise ValueError("all precisions and the cost must be positive")
+        P = self.total_precision
+        if not all(P - x > 0 for x in self.p):  # the closed forms divide by it
+            raise ValueError(f"the total precision {P!r} less some sender's "
+                             "precision is not positive in floating point")
 
     @property
     def total_precision(self) -> float:
@@ -149,8 +153,11 @@ def correlation_threshold(p0: float, p1: float, p2: float) -> float:
     if not all(x > 0 for x in (p0, p1, p2)):
         raise ValueError("precisions must be positive")
     num = p1 * p2 * (2 * p0 + p1 + p2)
-    den = (p0 + p1) ** 2 + p2 * (2 * p0 + p1 + p2)
-    return num / den
+    try:
+        square = (p0 + p1) ** 2
+    except OverflowError:  # where a product would give inf
+        square = math.inf
+    return num / (square + p2 * (2 * p0 + p1 + p2))
 
 
 def _correlated_stopping_values(cs: CorrelatedScenario, alpha: float):
