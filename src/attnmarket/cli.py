@@ -22,7 +22,7 @@ import yaml
 
 from .conditions import check_assumption2, check_mnat_concave, check_substitutes
 from .decision import DecisionProblem
-from .environment import ComponentSpace, JointPrior, probabilities
+from .environment import ComponentSpace, JointPrior, probabilities, product_mass
 from .equilibrium import aon_rates, marginal_prices
 from .errors import (
     AssumptionViolated,
@@ -380,16 +380,12 @@ def _prior_mass(prior: _Field, shape) -> np.ndarray:
     mass = state.numbers(shape[:1])
     probabilities(mass, state.path)
     conditionals = prior["product"]["conditionals"].entries(len(shape) - 1)
-    mass = mass.reshape(shape[:1] + (1,) * len(conditionals))
+    tables = []
     for i, conditional in enumerate(conditionals, start=1):
-        table = conditional.numbers((shape[0], shape[i]))
-        for r, row in enumerate(table):
+        tables.append(conditional.numbers((shape[0], shape[i])))
+        for r, row in enumerate(tables[-1]):
             probabilities(row, f"{conditional.path} row {r}")
-        block_shape = [1] * len(shape)
-        block_shape[0] = shape[0]
-        block_shape[i] = shape[i]
-        mass = mass * table.reshape(block_shape)
-    return mass
+    return product_mass(mass, tables)
 
 
 def _parse_gaussian(block: _Field, cost):
@@ -821,6 +817,11 @@ def main(argv=None) -> int:
             if value is not None and value < least:
                 raise ScenarioError(f"--{name.replace('_', '-')} must be at "
                                     f"least {least}, got {value}")
+        for name, value in vars(args).items():  # each --pc entry too
+            for v in value if isinstance(value, list) else [value]:
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ScenarioError(f"--{name.replace('_', '-')} must be "
+                                        f"finite, got {v}")
         code = args.func(args)
     except ScenarioError as exc:
         print(f"input error: {exc}", file=sys.stderr)

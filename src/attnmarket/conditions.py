@@ -40,7 +40,7 @@ import numpy as np
 from .decision import (
     DecisionProblem,
     _gain_terms,
-    _Lattice,
+    _lattice,
     _revealed_labels,
 )
 from .environment import JointPrior, _ratio_test
@@ -96,7 +96,7 @@ def check_assumption2(dp: DecisionProblem, prior: JointPrior,
     if not cost > 0.0:  # NaN included
         raise ValueError("attention cost must be positive")
     report = ConditionReport("assumption2", holds=True, margin=np.inf)
-    lattice = _Lattice(dp, prior.mass)
+    lattice = _lattice(dp, prior)
     cells = lattice.nodes()
     hidden = cells < 0
     for i in range(1, prior.n_senders + 1):
@@ -245,7 +245,7 @@ def check_substitutes(dp: DecisionProblem, prior: JointPrior,
     report.note = ("exact on all revelation beliefs; "
                    f"{samples} sampled garbled beliefs per sender")
     rng = np.random.default_rng(seed)
-    lattice = _Lattice(dp, prior.mass)
+    lattice = _lattice(dp, prior)
     cells = lattice.nodes()
     # the prior's per-value entries, which a garbled belief reweights
     n = prior.n_senders
@@ -304,7 +304,7 @@ def check_mnat_concave(dp: DecisionProblem, prior: JointPrior) -> ConditionRepor
             f"{n} senders exceed the exhaustive enumeration limit "
             f"of {MAX_SUBSET_SENDERS}"
         )
-    coalitions = _Lattice(dp, prior.mass).coalitions()
+    coalitions = _lattice(dp, prior).coalitions()
     f = coalitions - coalitions[0]
     members = [list(S) for r in range(n + 1)
                for S in itertools.combinations(range(1, n + 1), r)]

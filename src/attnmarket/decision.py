@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from .environment import (
     Experiment,
     JointPrior,
     _check_experiment,
+    _frozen,
     condition_on_components,
 )
 from .errors import UnknownComponent
@@ -40,14 +42,13 @@ class DecisionProblem:
         actions = tuple(actions)
         if len(actions) == 0:
             raise ValueError("need at least one action")
-        arr = np.asarray(utility, dtype=float)
+        arr = np.array(utility, dtype=float)  # a copy: lattices are shared
         if arr.ndim < 2 or arr.shape[0] != len(actions):
             raise ValueError("utility table must have one block per action")
         if not np.all(np.isfinite(arr)):
             raise ValueError("utility table must be finite and fully populated")
-        arr.flags.writeable = False
         object.__setattr__(self, "actions", actions)
-        object.__setattr__(self, "utility", arr)
+        object.__setattr__(self, "utility", _frozen(arr))
 
     @classmethod
     def from_state_table(cls, actions, table, n_components):
@@ -157,36 +158,37 @@ class _Lattice:
     (the zeta transform over the subset lattice): ``mass`` is P, ``eu``
     the expected utility per action times P, then P max|u|, ``value`` W
     = max_a eu.  ``gain`` takes G_i's terms from ``_gain_terms``, the
-    kernel that the garbled-belief tables of ``conditions`` share.
+    kernel that the garbled-belief tables of ``conditions`` share.  Every
+    array it holds or returns is read-only, as ``_lattice`` shares it.
     """
 
     def __init__(self, dp: DecisionProblem, mass: np.ndarray):
         n = self.n = mass.ndim - 1
         eu = _expected_utilities(dp, mass, per_sender_values=True)
-        self.eu = _star(eu, range(1, n + 1))
-        self.mass = _star(mass.sum(axis=0), range(n))
-        self.value = self.eu[:-1].max(axis=0)
+        self.eu = _frozen(_star(eu, range(1, n + 1)))
+        self.mass = _frozen(_star(mass.sum(axis=0), range(n)))
+        self.value = _frozen(self.eu[:-1].max(axis=0))
         # W summed per revealed set: one [unrevealed, revealed] axis per sender
         c = self.value
         for _ in range(n):
             c = np.stack([c[..., -1], c[..., :-1].sum(axis=-1)])
-        self._coalitions = c
+        self._coalitions = _frozen(c)
+        rows = []  # the positive-mass nodes of each revealed set
+        for r in range(n + 1):
+            for S in itertools.combinations(range(n), r):
+                layer = tuple(slice(-1) if ax in S else -1 for ax in range(n))
+                found = np.argwhere(self.mass[layer] > 0.0)
+                block = np.full((len(found), n), -1)
+                block[:, list(S)] = found
+                rows.append(block)
+        self._nodes = _frozen(np.concatenate(rows))
         self._gains = {}
         self._residuals = {}
 
     def nodes(self) -> np.ndarray:
         """Indices of the positive-mass nodes, one row each, by number of
         revealed senders, then revealed set, then values (row-major)."""
-        rows = []
-        for r in range(self.n + 1):
-            for S in itertools.combinations(range(self.n), r):
-                layer = tuple(slice(-1) if ax in S else -1
-                              for ax in range(self.n))
-                found = np.argwhere(self.mass[layer] > 0.0)
-                block = np.full((len(found), self.n), -1)
-                block[:, list(S)] = found
-                rows.append(block)
-        return np.concatenate(rows)
+        return self._nodes
 
     def coalition(self, subset) -> float:
         """E_{w_S}[ U(mu'(w_S)) ]: W summed over the nodes that reveal
@@ -213,8 +215,8 @@ class _Lattice:
             eu = np.moveaxis(self.eu, sender, -1)
             value = np.moveaxis(self.value, sender - 1, -1)[..., :-1]
             terms = _gain_terms(eu[..., :-1], eu[..., -1:], value)
-            self._gains[sender] = np.moveaxis(
-                terms.sum(axis=-1, keepdims=True), -1, sender - 1)
+            self._gains[sender] = _frozen(np.moveaxis(
+                terms.sum(axis=-1, keepdims=True), -1, sender - 1))
         return self._gains[sender]
 
     def residual(self, sender: int) -> np.ndarray:
@@ -223,8 +225,23 @@ class _Lattice:
         if sender not in self._residuals:
             g = self.gain(sender).squeeze(axis=sender - 1)
             h = _star(g[(slice(-1),) * g.ndim], range(g.ndim))
-            self._residuals[sender] = np.expand_dims(h, sender - 1)
+            self._residuals[sender] = _frozen(np.expand_dims(h, sender - 1))
         return self._residuals[sender]
+
+
+# each (prior or belief, decision problem)'s lattice, while both live
+_LATTICES = weakref.WeakKeyDictionary()
+
+
+def _lattice(dp: DecisionProblem, source) -> _Lattice:
+    """The one ``_Lattice`` of ``source.mass`` (a prior or a belief) under
+    ``dp``: built on the first call for the pair, then shared by every
+    reader, and freed with the source or the decision problem.  Sharing is
+    safe because both inputs and the lattice's arrays are read-only."""
+    by_dp = _LATTICES.setdefault(source, weakref.WeakKeyDictionary())
+    if dp not in by_dp:
+        by_dp[dp] = _Lattice(dp, source.mass)
+    return by_dp[dp]
 
 
 def _gain_terms(eu: np.ndarray, total: np.ndarray,
@@ -262,7 +279,7 @@ def _revealed_labels(prior: JointPrior, rows: np.ndarray):
 
 def full_reveal_value(dp: DecisionProblem, belief: Belief, sender: int) -> float:
     """Value of learning one sender's component exactly at this belief."""
-    lattice = _Lattice(dp, belief.mass)
+    lattice = _lattice(dp, belief)
     return float(lattice.gain(sender)[(-1,) * lattice.n])
 
 
@@ -282,18 +299,18 @@ def expected_conditioned_value(dp: DecisionProblem, source, subset) -> float:
 
     The empty subset gives the current stopping utility.
     """
-    return _Lattice(dp, source.mass).coalition(subset)
+    return _lattice(dp, source).coalition(subset)
 
 
 def coalition_value(dp: DecisionProblem, prior: JointPrior, subset) -> float:
     """Ex-ante expected increase in stopping utility from learning exactly
     the components in the subset; zero for the empty set."""
-    lattice = _Lattice(dp, prior.mass)
+    lattice = _lattice(dp, prior)
     return lattice.coalition(subset) - lattice.coalition(())
 
 
 def expected_residual_value(dp: DecisionProblem, source, sender: int) -> float:
     """E over the other senders' components of the residual value of this
     sender's component:  E_{w_{-i}}[ vbar(w_i | w_{-i}) ]."""
-    lattice = _Lattice(dp, source.mass)
+    lattice = _lattice(dp, source)
     return float(lattice.residual(sender)[(-1,) * lattice.n])

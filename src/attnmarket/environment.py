@@ -47,6 +47,12 @@ class ComponentSpace:
             ) from None
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """The array, made read-only."""
+    a.flags.writeable = False
+    return a
+
+
 def _as_mass_array(spaces, mass) -> np.ndarray:
     shape = tuple(s.size for s in spaces)
     if isinstance(mass, dict):
@@ -57,6 +63,20 @@ def _as_mass_array(spaces, mass) -> np.ndarray:
     else:
         arr = np.asarray(mass, dtype=float).reshape(shape)
     return arr
+
+
+def product_mass(state, conditionals) -> np.ndarray:
+    """The joint mass of a payoff state with conditionally independent
+    sender components: the state weights times sender ``i``'s conditional
+    table (states x her values) along axis ``i``, multiplied in sender
+    order."""
+    n = len(conditionals)
+    mass = np.reshape(state, (-1,) + (1,) * n)
+    for i, table in enumerate(conditionals, start=1):
+        shape = [1] * (n + 1)
+        shape[0], shape[i] = np.shape(table)
+        mass = mass * np.reshape(table, shape)
+    return mass
 
 
 def probabilities(values, where: str, axis=None) -> np.ndarray:
@@ -93,9 +113,8 @@ class JointPrior:
     def __init__(self, spaces, mass):
         spaces = _validate_spaces(spaces)
         arr = probabilities(_as_mass_array(spaces, mass), "prior mass")
-        arr.flags.writeable = False
         object.__setattr__(self, "spaces", spaces)
-        object.__setattr__(self, "mass", arr)
+        object.__setattr__(self, "mass", _frozen(arr))
 
     @property
     def n_senders(self) -> int:
@@ -127,9 +146,8 @@ class Belief:
     def __init__(self, spaces, mass):
         spaces = _validate_spaces(spaces)
         arr = probabilities(_as_mass_array(spaces, mass), "belief mass")
-        arr.flags.writeable = False
         object.__setattr__(self, "spaces", spaces)
-        object.__setattr__(self, "mass", arr)
+        object.__setattr__(self, "mass", _frozen(arr))
 
     @property
     def n_senders(self) -> int:
@@ -177,10 +195,9 @@ class Experiment:
                 f"{space.size} values x {len(messages)} messages"
             )
         arr = probabilities(arr, "kernel row", axis=1)
-        arr.flags.writeable = False
         object.__setattr__(self, "sender", sender)
         object.__setattr__(self, "messages", messages)
-        object.__setattr__(self, "kernel", arr)
+        object.__setattr__(self, "kernel", _frozen(arr))
         object.__setattr__(self, "space", space)
 
     # -- common constructors -------------------------------------------------

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .conditions import check_assumption2, check_substitutes
-from .decision import DecisionProblem, _Lattice, full_reveal_value
+from .decision import DecisionProblem, _lattice, full_reveal_value
 from .environment import (
     Belief,
     JointPrior,
@@ -50,7 +50,7 @@ class StateGraph:
     def __init__(self, prior: JointPrior, dp: DecisionProblem):
         self.prior = prior
         self.dp = dp
-        lattice = self._lattice = _Lattice(dp, prior.mass)
+        lattice = self._lattice = _lattice(dp, prior)
         self.cells = lattice.nodes()
         at = tuple(self.cells.T)
         self.ids = np.full(lattice.mass.shape, -1)
@@ -232,7 +232,7 @@ def aon_rates(dp: DecisionProblem, prior: JointPrior, cost: float, *,
 def marginal_prices(dp: DecisionProblem, prior: JointPrior) -> dict:
     """Marginal-contribution price of each sender in the one-shot exchange:
     f(N) - f(N minus i)."""
-    lattice = _Lattice(dp, prior.mass)
+    lattice = _lattice(dp, prior)
     everyone = set(range(1, prior.n_senders + 1))
     return {i: lattice.coalition(everyone) - lattice.coalition(everyone - {i})
             for i in sorted(everyone)}

@@ -42,6 +42,8 @@ class GaussianScenario:
         if not all(x > 0 for x in (self.p0, self.c) + self.p):  # NaN too
             raise ValueError("all precisions and the cost must be positive")
         P = self.total_precision
+        if not math.isfinite(P):
+            raise ValueError(f"the total precision {P!r} is not finite")
         if not all(P - x > 0 for x in self.p):  # the closed forms divide by it
             raise ValueError(f"the total precision {P!r} less some sender's "
                              "precision is not positive in floating point")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decision import DecisionProblem
-from .environment import ComponentSpace, JointPrior
+from .environment import ComponentSpace, JointPrior, product_mass
 from .errors import BudgetExceeded, DegenerateCurve
 from .tolerance import DECAY_TOL, ROUNDING
 
@@ -65,6 +65,8 @@ class IIDEnvironment:
         if u.shape != (len(actions), m) or len(actions) < m:
             raise ValueError("utility must be actions x states with at "
                              "least one action per state")
+        if not np.all(np.isfinite(u)):  # NaN would pass the test below
+            raise ValueError("utility must be finite")
         for j in range(m):
             others = np.delete(u[:, j], j)
             if np.any(others >= u[j, j]):
@@ -93,13 +95,8 @@ class IIDEnvironment:
         spaces = [ComponentSpace(0, self.state_labels)]
         spaces += [ComponentSpace(i, self.signal_alphabet)
                    for i in range(1, n + 1)]
-        mass = self.state_weights.reshape((-1,) + (1,) * n)
-        for i in range(1, n + 1):
-            shape = [1] * (n + 1)
-            shape[0] = self.n_states
-            shape[i] = self.n_signals
-            mass = mass * self.likelihood.reshape(shape)
-        prior = JointPrior(spaces, mass)
+        prior = JointPrior(spaces, product_mass(self.state_weights,
+                                                [self.likelihood] * n))
         dp = DecisionProblem.from_state_table(self.actions, self.utility, n + 1)
         return prior, dp
 

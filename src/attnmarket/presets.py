@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .decision import DecisionProblem
-from .environment import ComponentSpace, JointPrior
+from .environment import ComponentSpace, JointPrior, product_mass
 
 
 def coin_match():
@@ -79,16 +79,9 @@ def conditionally_iid_signals(accuracy: float = 0.8, n: int = 2,
         raise ValueError("accuracy must lie in (0.5, 1)")
     spaces = [ComponentSpace(0, ("s0", "s1"))]
     spaces += [ComponentSpace(i, ("0", "1")) for i in range(1, n + 1)]
-    state = np.array([1.0 - p_state1, p_state1])
-    cond = np.array([[accuracy, 1.0 - accuracy],
-                     [1.0 - accuracy, accuracy]])
-    mass = state.reshape((2,) + (1,) * n)
-    for i in range(n):
-        shape = [1] * (n + 1)
-        shape[0] = 2
-        shape[i + 1] = 2
-        mass = mass * cond.reshape(shape)
-    prior = JointPrior(spaces, mass)
+    cond = [[accuracy, 1.0 - accuracy], [1.0 - accuracy, accuracy]]
+    prior = JointPrior(spaces, product_mass([1.0 - p_state1, p_state1],
+                                            [cond] * n))
     actions = ["guess_0", "guess_1"]
     table = [[1.0, 0.0], [0.0, 1.0]]
     if abstain_utility is not None:

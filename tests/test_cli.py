@@ -189,6 +189,17 @@ def test_non_finite_scenario_number_is_input_error(tmp_path, capsys,
     assert field in err
 
 
+def test_overflowing_gaussian_total_precision_is_input_error(tmp_path,
+                                                             capsys):
+    """p0 + sum p_i overflows to inf: the closed forms would write rates
+    inf and expected visits 0."""
+    path = tmp_path / "scenario.yaml"
+    path.write_text("{schema_version: 1, cost: 0.01, "
+                    "gaussian: {p0: 1.0, p: [1.0e308, 1.0e308]}}\n")
+    err = _refused(["solve", "--scenario", str(path)], capsys, tmp_path)
+    assert "gaussian.p[]" in err and "not finite" in err
+
+
 @pytest.mark.parametrize("mutate, field", [
     (lambda base: base["components"].update(state=["s", "s"]),
      "components.state"),
@@ -681,6 +692,9 @@ def test_sweep_large_n_finite_failed_fit_writes_nothing(tmp_path, capsys):
     ["symmetry", "--total-precision", "nan"],
     ["symmetry", "--grid-step", "nan"],
     ["bridge", "--cost", "nan"],
+    ["large-n", "--finite", "--abstain", "nan", "--n-max", "20"],
+    ["large-n", "--cost", "inf"],
+    ["bridge", "--precision", "inf"],
 ])
 def test_sweep_bad_flag_is_input_error(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -688,6 +702,20 @@ def test_sweep_bad_flag_is_input_error(tmp_path, capsys, argv):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["large-n", "--finite", "--abstain", "nan"], "--abstain", "nan"),
+    (["large-n", "--cost=-inf"], "--cost", "-inf"),
+    (["alpha", "--pc", "0.4", "--pc", "inf"], "--pc", "inf"),
+    (["symmetry", "--total-precision", "inf"], "--total-precision", "inf"),
+])
+def test_sweep_non_finite_flag_is_named(tmp_path, capsys, argv, flag, value):
+    out = tmp_path / "out"
+    assert run(["sweep", "--sweep-kind"] + argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"input error: {flag} must be finite, "
+                                       f"got {value}\n")
     assert not out.exists()
 
 

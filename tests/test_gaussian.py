@@ -48,6 +48,11 @@ def test_nan_parameter_raises_value_error(call):
         call()
 
 
+def test_overflowing_total_precision_raises_value_error():
+    with pytest.raises(ValueError, match="total precision inf is not finite"):
+        GaussianScenario(1.0, (1.0e308, 1.0e308), 0.01)
+
+
 # -- rates and payoffs -------------------------------------------------------------
 
 def test_rates_symmetric_pair():

@@ -54,6 +54,17 @@ def test_nan_weight_or_likelihood_is_refused(weights, likelihood):
         default_environment(accuracy=float("nan"))
 
 
+def test_nan_utility_is_refused():
+    """Every comparison with NaN is False, so a NaN utility would pass the
+    domination test."""
+    with pytest.raises(ValueError, match="utility must be finite"):
+        IIDEnvironment(("s0", "s1"), (0.5, 0.5), ("0", "1"),
+                       [[0.6, 0.4], [0.4, 0.6]], ("a0", "a1", "abstain"),
+                       [[1.0, 0.0], [0.0, 1.0], [float("nan")] * 2])
+    with pytest.raises(ValueError, match="utility must be finite"):
+        default_environment(abstain_utility=float("nan"))
+
+
 @pytest.mark.parametrize("second, distinct", [
     ([0.600001, 0.399999], True),
     ([0.6 + 1e-13, 0.4 - 1e-13], False),
