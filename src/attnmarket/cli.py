@@ -383,8 +383,12 @@ def _prior_mass(prior: _Field, shape) -> np.ndarray:
     tables = []
     for i, conditional in enumerate(conditionals, start=1):
         tables.append(conditional.numbers((shape[0], shape[i])))
-        for r, row in enumerate(tables[-1]):
-            probabilities(row, f"{conditional.path} row {r}")
+        try:
+            probabilities(tables[-1], conditional.path, axis=1)
+        except ValueError:  # name the first bad row
+            for r, row in enumerate(tables[-1]):
+                probabilities(row, f"{conditional.path} row {r}")
+            raise
     return product_mass(mass, tables)
 
 

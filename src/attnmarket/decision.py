@@ -277,8 +277,10 @@ def _revealed_labels(prior: JointPrior, rows: np.ndarray):
                                       if v >= 0})
 
 
-def full_reveal_value(dp: DecisionProblem, belief: Belief, sender: int) -> float:
-    """Value of learning one sender's component exactly at this belief."""
+def full_reveal_value(dp: DecisionProblem, belief: Belief | JointPrior,
+                      sender: int) -> float:
+    """Value of learning one sender's component exactly at this belief, or
+    at a prior as its round-0 belief."""
     lattice = _lattice(dp, belief)
     return float(lattice.gain(sender)[(-1,) * lattice.n])
 
@@ -289,7 +291,7 @@ def full_reveal_value_given(dp: DecisionProblem, prior: JointPrior,
     on exact values of other components."""
     if sender in assignment:
         raise UnknownComponent(f"sender {sender} is already conditioned on")
-    belief = condition_on_components(prior, assignment) if assignment else prior.belief()
+    belief = condition_on_components(prior, assignment) if assignment else prior
     return full_reveal_value(dp, belief, sender)
 
 

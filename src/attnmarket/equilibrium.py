@@ -176,7 +176,7 @@ def monopoly_rate(dp: DecisionProblem, prior: JointPrior, cost: float) -> float:
     sender: cost divided by the value of her information."""
     if prior.n_senders != 1:
         raise UnknownComponent("monopoly rate needs exactly one sender")
-    value = full_reveal_value(dp, prior.belief(), 1)
+    value = full_reveal_value(dp, prior, 1)
     if cost >= value:
         raise AssumptionViolated(
             f"cost {cost} is not below the information value {value}")

@@ -465,7 +465,7 @@ def holdup_demo(cost: float) -> dict:
     graph = profile.graph
     root = graph.root.id
 
-    value_first_alone = full_reveal_value(dp, prior.belief(), 1)
+    value_first_alone = full_reveal_value(dp, prior, 1)
     residual_second = profile.sender_payoffs[2] * cost
 
     # dp-optimal receiver against sender 2's residual-monopoly continuation,

@@ -1,7 +1,11 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from attnmarket import largemarket
 from attnmarket.decision import expected_residual_value
@@ -317,3 +321,153 @@ def test_three_states_three_signals():
     prior, dp = env.to_environment(2)
     assert residual_value_curve(env, [2])[0].value == pytest.approx(
         expected_residual_value(dp, prior, 2), abs=1e-12)
+
+
+# -- packed kernel calls --------------------------------------------------------------
+
+def _per_piece_log_scores(env, counts):
+    terms = counts[..., None] * np.log(env.likelihood).T
+    return np.log(env.state_weights) + terms.sum(axis=-2)
+
+
+def _per_piece_residual_rows(env, counts, log_coef):
+    mass = np.exp(log_coef + _per_piece_log_scores(env, counts))
+    a0 = (mass @ env.utility.T).argmax(axis=1, keepdims=True)
+    value = np.zeros(len(counts))
+    for ell in range(env.n_signals):
+        bumped = counts.copy()
+        bumped[:, ell] += 1
+        eu = (np.exp(log_coef + _per_piece_log_scores(env, bumped))
+              @ env.utility.T)
+        value += eu.max(axis=1) - np.take_along_axis(eu, a0, 1)[:, 0]
+    return value
+
+
+def _per_piece_error_rows(env, counts, log_coef):
+    mass = np.exp(log_coef + _per_piece_log_scores(env, counts))
+    best = (mass @ env.utility.T).argmax(axis=1)
+    regret = env.utility.max(axis=0) - env.utility
+    return np.einsum("ks,ks->k", mass, regret[best])
+
+
+def _per_piece_sampled(env, draws, rows, samples, seed):
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    mean, var = 0.0, 0.0
+    for j, w in enumerate(env.state_weights):
+        r = max(2, int(round(samples * w)))
+        counts = rng.multinomial(draws, env.likelihood[j], size=r)
+        log_norm = np.logaddexp.reduce(_per_piece_log_scores(env, counts),
+                                       axis=1, keepdims=True)
+        vals = rows(env, counts, -log_norm)
+        mean += w * vals.mean()
+        var += w ** 2 * vals.var(ddof=1) / r
+    return float(mean), float(math.sqrt(var))
+
+
+def _per_piece_curve(env, ns, lag, rows, exact_budget, samples):
+    """The curve with one kernel call per piece of ``_count_blocks`` and the
+    log-scores summed by numpy's reduction: (n, value, scaled, mode,
+    stderr) per n."""
+    points = []
+    for n in ns:
+        total, se = n - lag, None
+        if count_space_size(total, env.n_signals) <= exact_budget:
+            log_fact = np.fromiter(map(math.lgamma, range(1, total + 2)),
+                                   float, total + 1)
+            value = sum(
+                float(rows(env, c, log_fact[total] - log_fact[c].sum(
+                    axis=1, keepdims=True)).sum())
+                for c in largemarket._count_blocks(total, env.n_signals))
+        else:
+            value, se = _per_piece_sampled(env, total, rows, samples, n)
+        points.append((n, value, n * value if lag else value,
+                       "exact" if se is None else "sampled", se))
+    return points
+
+
+@st.composite
+def packed_cases(draw):
+    """A random environment (half-step utilities, so actions tie), market
+    sizes in any order with repeats, and block and group sizes small
+    enough that pieces split and groups cross n."""
+    m, ell = draw(st.integers(2, 5)), draw(st.integers(2, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lik = rng.integers(1, 10, size=(m, ell)).astype(float)
+    lik /= lik.sum(axis=1, keepdims=True)
+    assume(len({tuple(row) for row in lik.round(6)}) == m)   # separable
+    weights = rng.integers(1, 10, size=m).astype(float)
+    utility = rng.integers(0, 5, size=(m + 2, m)) / 2.0
+    utility[:m][np.eye(m, dtype=bool)] = utility.max(axis=0) + 0.5
+    n_max = 6 if ell >= 8 else 14
+    ns = draw(st.lists(st.integers(1, n_max), min_size=1, max_size=12))
+    budget = count_space_size(draw(st.integers(0, n_max)), ell)
+    return (m, lik, weights / weights.sum(), utility, ns, budget,
+            draw(st.integers(1, 12)), draw(st.integers(1, 40)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(packed_cases())
+def test_packed_curves_match_one_call_per_piece(case):
+    """Packing pieces of several n into one kernel call changes no value,
+    scaled value, mode or standard error, sampled points included.  The one
+    numerical change is the log-score: its products are added in signal
+    order, which is numpy's reduction below 8 signals; at 8 or more numpy
+    adds pairwise partial sums, so values there agree to 1e-13."""
+    m, lik, weights, utility, ns, budget, block, group = case
+    env = IIDEnvironment(range(m), weights, range(lik.shape[1]), lik,
+                         range(len(utility)), utility)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(largemarket, "_BLOCK_ROWS", block)
+        mp.setattr(largemarket, "_GROUP_ROWS", group)
+        for curve, lag, rows in (
+                (residual_value_curve, 1, _per_piece_residual_rows),
+                (decision_error_curve, 0, _per_piece_error_rows)):
+            got = [(p.n, p.value, p.scaled, p.mode, p.stderr)
+                   for p in curve(env, ns, exact_budget=budget,
+                                  allow_sampling=True, samples=40, seed=0)]
+            want = _per_piece_curve(env, ns, lag, rows, budget, 40)
+            if env.n_signals < 8:
+                assert got == want
+            else:
+                assert [p[::3] for p in got] == [p[::3] for p in want]
+                for g, w in zip(got, want):
+                    assert g[1:3] == pytest.approx(w[1:3], rel=1e-13, abs=0)
+                    assert g[4] == pytest.approx(w[4], rel=1e-13, abs=0)
+
+
+def _three_state_market():
+    """The benchmark's three-state, three-signal environment, with weights
+    from its range of 25 to 40."""
+    weights = np.array([31.0, 27.0, 36.0])
+    return IIDEnvironment(
+        ("a", "b", "c"), weights / weights.sum(), ("x", "y", "z"),
+        [[0.5, 0.3, 0.2], [0.25, 0.5, 0.25], [0.2, 0.3, 0.5]],
+        ("guess_a", "guess_b", "guess_c"), np.eye(3))
+
+
+def test_packed_groups_bound_memory():
+    """Groups of count vectors stay small: this curve's traced peak is
+    0.7 MB with groups of 4,096 rows, 5.6 MB with 1 << 15 rows."""
+    env3 = _three_state_market()
+    tracemalloc.start()
+    try:
+        residual_value_curve(env3, range(1, 61))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_one_kernel_call_per_group(monkeypatch, env):
+    """The 200 points of a binary curve share 5 kernel calls, not one per n."""
+    calls = []
+    kernel = largemarket._residual_rows
+
+    def spy(*args):
+        calls.append(len(args[1]))
+        return kernel(*args)
+
+    monkeypatch.setattr(largemarket, "_residual_rows", spy)
+    curve = residual_value_curve(env, range(1, 201))
+    assert [p.n for p in curve] == list(range(1, 201))
+    assert len(calls) <= 5 and sum(calls) == sum(range(1, 201))

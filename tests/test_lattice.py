@@ -17,8 +17,10 @@ from attnmarket.conditions import (
     check_mnat_concave,
     check_substitutes,
 )
-from attnmarket.decision import DecisionProblem, _lattice, _Lattice
-from attnmarket.equilibrium import aon_rates, marginal_prices
+from attnmarket.decision import (DecisionProblem, _lattice, _Lattice,
+                                 full_reveal_value_given)
+from attnmarket.equilibrium import aon_rates, marginal_prices, monopoly_rate
+from attnmarket.simulate import holdup_demo
 
 
 @pytest.fixture
@@ -68,6 +70,18 @@ def test_every_reader_reads_one_lattice(builds):
     marginal_prices(dp, prior)
     assert builds[0] == 1
     assert profile.graph._lattice is _lattice(dp, prior)
+
+
+def test_prior_helpers_share_the_prior_lattice(builds):
+    """Helpers that read a prior's value pass the prior itself, not a fresh
+    ``prior.belief()`` with the same mass and a lattice of its own."""
+    holdup_demo(0.1)        # the prior, then the tilted partial belief
+    assert builds[0] == 2
+    prior, dp = presets.hypothesis_testing()
+    monopoly_rate(dp, prior, 0.01)
+    aon_rates(dp, prior, 0.01)
+    full_reveal_value_given(dp, prior, 1, {})
+    assert builds[0] == 3
 
 
 def test_lattice_is_freed_with_its_prior():
